@@ -9,8 +9,8 @@ command line front end.
 """
 
 from .crf import (CrfGradients, CrfParams, NEG_INF, init_crf_params,
-                  log_partition, marginals, nll_grad, nll_loss, score_path,
-                  viterbi_decode, zero_crf_params)
+                  log_partition, marginals, nll_and_grad, nll_grad, nll_loss,
+                  score_path, viterbi_decode, zero_crf_params)
 from .data import (EmbeddedSentence, Sentence, TagSet, UNK_ID, UNK_TOKEN,
                    Vocab, build_vocab, encode, encode_tags,
                    load_context_embeddings, load_meta_tags, parse_corpus,
@@ -19,8 +19,8 @@ from .data import (EmbeddedSentence, Sentence, TagSet, UNK_ID, UNK_TOKEN,
 from .encoder import (EncoderGradients, EncoderParams, EncoderTape, backward,
                       forward, init_external_params, init_params)
 from .errors import (CheckpointError, ConfigError, DimensionError,
-                     EmptyCorpusError, EmptySequenceError, ParseError,
-                     SemtaggerError, UnknownTagError)
+                     DivergenceError, EmptyCorpusError, EmptySequenceError,
+                     ParseError, SemtaggerError, UnknownTagError)
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel,
                     load_checkpoint, save_checkpoint, tag_tokens, tag_vectors)
 from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, LrSchedule, OptimState,

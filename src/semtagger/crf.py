@@ -16,18 +16,35 @@ Conventions used throughout:
   exp(NEG_INF) underflows to exactly 0.0 in double precision, so the
   sentinel can never win a max or contribute to a log-sum-exp.
 
-* All scores live in log space; the partition function uses the stabilized
-  forward recursion and decoding uses max-plus with backpointers.
+* All scores live in log space; decoding uses max-plus with backpointers.
+  The forward and backward recursions are the scaled forward-backward of
+  Rabiner (1989): each step's log-sum-exp over the K source tags is one
+  matrix-vector product in exp space,
+
+      log sum_i exp(v_i + trans[i, j])
+          = max(v) + c_j + log(exp(v - max v) @ exp(trans - c))_j,
+
+  with ``c_j = max_i trans[i, j]``, so ``exp(trans - c)`` is computed once
+  per call instead of K^2 ``exp`` calls per step. Every factor is at most 1,
+  so nothing overflows. A column whose scaled sum falls below ``_TINY`` has
+  lost digits to underflow and is recomputed in log space, which keeps the
+  result exact for every finite transition matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import DimensionError, EmptySequenceError
+from .errors import DimensionError, DivergenceError, EmptySequenceError
 
 NEG_INF = -1e4
+
+# A scaled sum below _TINY is redone in log space. The expected transition
+# counts use one matmul over all steps when each step's scale factor is at
+# most exp(_MAX_LOG_SCALE), far enough below the float64 maximum that a sum
+# over T steps stays finite; other steps are summed term by term.
+_TINY = 1e-200
+_MAX_LOG_SCALE = 600.0
 
 
 @dataclass
@@ -52,7 +69,7 @@ class CrfParams:
         if not np.all(self.transitions[self.stop, :] == NEG_INF):
             raise ValueError("transitions out of STOP must be NEG_INF")
         if not np.all(np.isfinite(self.transitions)):
-            raise ValueError("transitions must be finite everywhere")
+            raise DivergenceError("transitions must be finite everywhere")
 
     @property
     def start(self) -> int:
@@ -100,7 +117,7 @@ def _check_emissions(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
             f"params expect {params.num_tags}"
         )
     if not np.all(np.isfinite(emissions)):
-        raise ValueError("emissions must be finite")
+        raise DivergenceError("emissions must be finite")
     return emissions
 
 
@@ -120,7 +137,10 @@ def _check_path(params: CrfParams, emissions: np.ndarray, path) -> np.ndarray:
 def score_path(params: CrfParams, emissions: np.ndarray, path) -> float:
     """Unnormalized log score of one tag path (emissions + transitions)."""
     emissions = _check_emissions(params, emissions)
-    path = _check_path(params, emissions, path)
+    return _score_path(params, emissions, _check_path(params, emissions, path))
+
+
+def _score_path(params: CrfParams, emissions: np.ndarray, path: np.ndarray) -> float:
     t_idx = np.arange(emissions.shape[0])
     score = emissions[t_idx, path].sum()
     score += params.transitions[params.start, path[0]]
@@ -129,35 +149,87 @@ def score_path(params: CrfParams, emissions: np.ndarray, path) -> float:
     return float(score)
 
 
-def _forward_alphas(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
-    """alpha[t, k] = log sum over prefixes ending in tag k at time t."""
+def _logsumexp(x: np.ndarray, axis=None):
+    """log(sum(exp(x))) along ``axis``, shifted by the max; ``x`` is finite."""
+    top = np.max(x, axis=axis)
+    shift = top if axis is None else np.expand_dims(top, axis)
+    return top + np.log(np.exp(x - shift).sum(axis=axis))
+
+
+def _scaled(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(exp(trans - c), c)`` with ``c`` the column maxima of ``trans``."""
+    shift = trans.max(axis=0)
+    return np.exp(trans - shift), shift
+
+
+def _log_matvec(v: np.ndarray, trans: np.ndarray, scaled: np.ndarray,
+                shift: np.ndarray) -> np.ndarray:
+    """``log sum_i exp(v[i] + trans[i, j])`` for every column ``j``, given
+    ``(scaled, shift) = _scaled(trans)``."""
+    top = v.max()
+    sums = np.exp(v - top) @ scaled
+    low = sums < _TINY
+    if not low.any():
+        return top + shift + np.log(sums)
+    sums[low] = 1.0
+    out = top + shift + np.log(sums)
+    out[low] = _logsumexp(v[:, None] + trans[:, low], axis=0)
+    return out
+
+
+def _forward(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(alpha, log Z)``: ``alpha[t, k]`` is the log sum over prefixes ending
+    in tag ``k`` at time ``t``."""
     big_t, k = emissions.shape
     trans = params.transitions[:k, :k]
+    scaled, shift = _scaled(trans)
     alpha = np.empty((big_t, k))
     alpha[0] = params.transitions[params.start, :k] + emissions[0]
     for t in range(1, big_t):
-        # alpha[t-1, i] + trans[i, j], reduced over source i
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emissions[t]
-    return alpha
+        alpha[t] = _log_matvec(alpha[t - 1], trans, scaled, shift) + emissions[t]
+    return alpha, float(_logsumexp(alpha[-1] + params.transitions[:k, params.stop]))
 
 
-def _backward_betas(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
-    """beta[t, k] = log sum over suffixes given tag k at time t (excl. emission at t)."""
+def _backward(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
+    """beta[t, k] = log sum over suffixes given tag k at time t (excl. emission
+    at t): the forward step through the transposed transition matrix."""
     big_t, k = emissions.shape
-    trans = params.transitions[:k, :k]
+    trans = params.transitions[:k, :k].T
+    scaled, shift = _scaled(trans)
     beta = np.empty((big_t, k))
     beta[-1] = params.transitions[:k, params.stop]
     for t in range(big_t - 2, -1, -1):
-        beta[t] = logsumexp(trans + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+        beta[t] = _log_matvec(emissions[t + 1] + beta[t + 1], trans, scaled, shift)
     return beta
+
+
+def _expected_transitions(trans: np.ndarray, alpha: np.ndarray, right: np.ndarray,
+                          log_z: float) -> np.ndarray:
+    """``sum_t P(y_t = i, y_{t+1} = j | x)`` without the ``(T-1, K, K)`` tensor.
+
+    ``right[t] = emissions[t + 1] + beta[t + 1]``. Each step's term factors as
+    ``exp(trans - top) * a_t[i] * b_t[j] * exp(log_scale[t])`` with ``a_t``,
+    ``b_t`` at most 1, so the steps whose scale cannot overflow sum in one
+    matmul. ``log_scale >= -2 log K`` since log Z is at most the best pair's
+    score plus ``2 log K``, so no scale underflows.
+    """
+    left = alpha[:-1]
+    top = trans.max()
+    left_max = left.max(axis=1)
+    right_max = right.max(axis=1)
+    log_scale = left_max + right_max + top - log_z
+    ok = log_scale <= _MAX_LOG_SCALE
+    a = np.exp(left[ok] - left_max[ok, None] + log_scale[ok, None])
+    b = np.exp(right[ok] - right_max[ok, None])
+    counts = np.exp(trans - top) * (a.T @ b)
+    for t in np.flatnonzero(~ok):
+        counts += np.exp(left[t][:, None] + trans + right[t][None, :] - log_z)
+    return counts
 
 
 def log_partition(params: CrfParams, emissions: np.ndarray) -> float:
     """log Z: log-sum-exp of the scores of all K^T paths, via the forward pass."""
-    emissions = _check_emissions(params, emissions)
-    alpha = _forward_alphas(params, emissions)
-    k = emissions.shape[1]
-    return float(logsumexp(alpha[-1] + params.transitions[:k, params.stop]))
+    return _forward(params, _check_emissions(params, emissions))[1]
 
 
 def nll_loss(params: CrfParams, emissions: np.ndarray, gold) -> float:
@@ -173,44 +245,48 @@ def marginals(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, np.
     ``pairwise[t, i, j] = P(y_t = i, y_{t+1} = j | x)`` (shape ``(T-1, K, K)``).
     """
     emissions = _check_emissions(params, emissions)
-    big_t, k = emissions.shape
-    trans = params.transitions[:k, :k]
-    alpha = _forward_alphas(params, emissions)
-    beta = _backward_betas(params, emissions)
-    log_z = logsumexp(alpha[-1] + params.transitions[:k, params.stop])
-
-    unary = np.exp(alpha + beta - log_z)
-    pairwise = np.empty((big_t - 1, k, k))
-    for t in range(big_t - 1):
-        pairwise[t] = np.exp(
-            alpha[t][:, None] + trans + (emissions[t + 1] + beta[t + 1])[None, :] - log_z
-        )
-    return unary, pairwise
+    k = emissions.shape[1]
+    alpha, log_z = _forward(params, emissions)
+    beta = _backward(params, emissions)
+    right = emissions[1:] + beta[1:]
+    pairwise = np.exp(alpha[:-1, :, None] + params.transitions[:k, :k]
+                      + right[:, None, :] - log_z)
+    return np.exp(alpha + beta - log_z), pairwise
 
 
-def nll_grad(params: CrfParams, emissions: np.ndarray, gold) -> CrfGradients:
-    """Analytic gradient of ``nll_loss``: expected counts minus observed counts.
+def nll_and_grad(params: CrfParams, emissions: np.ndarray,
+                 gold) -> tuple[float, CrfGradients]:
+    """``nll_loss`` and its analytic gradient from one forward-backward pass.
 
-    The START row and STOP column of ``d_transitions`` carry the boundary
-    terms; cells blocked by the sentinel convention are exactly 0.
+    The gradient is expected counts minus observed counts. The START row and
+    STOP column of ``d_transitions`` carry the boundary terms; cells blocked
+    by the sentinel convention are exactly 0.
     """
     emissions = _check_emissions(params, emissions)
     gold = _check_path(params, emissions, gold)
     big_t, k = emissions.shape
-    unary, pairwise = marginals(params, emissions)
-
-    d_emissions = unary.copy()
-    d_emissions[np.arange(big_t), gold] -= 1.0
+    alpha, log_z = _forward(params, emissions)
+    beta = _backward(params, emissions)
+    unary = np.exp(alpha + beta - log_z)
 
     d_trans = np.zeros_like(params.transitions)
     if big_t > 1:
-        d_trans[:k, :k] = pairwise.sum(axis=0)
+        d_trans[:k, :k] = _expected_transitions(
+            params.transitions[:k, :k], alpha, emissions[1:] + beta[1:], log_z)
         np.subtract.at(d_trans, (gold[:-1], gold[1:]), 1.0)
     d_trans[params.start, :k] = unary[0]
     d_trans[params.start, gold[0]] -= 1.0
     d_trans[:k, params.stop] = unary[-1]
     d_trans[gold[-1], params.stop] -= 1.0
-    return CrfGradients(d_transitions=d_trans, d_emissions=d_emissions)
+
+    unary[np.arange(big_t), gold] -= 1.0
+    loss = log_z - _score_path(params, emissions, gold)
+    return loss, CrfGradients(d_transitions=d_trans, d_emissions=unary)
+
+
+def nll_grad(params: CrfParams, emissions: np.ndarray, gold) -> CrfGradients:
+    """Analytic gradient of ``nll_loss``; see ``nll_and_grad``."""
+    return nll_and_grad(params, emissions, gold)[1]
 
 
 def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:

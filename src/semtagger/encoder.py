@@ -19,7 +19,6 @@ the order: input gate, forget gate, candidate, output gate.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import ConfigError, DimensionError, EmptySequenceError
 
@@ -109,6 +108,11 @@ class EncoderTape:
     hidden: np.ndarray          # (T, H) h_t
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function through tanh, so no ``exp`` can overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -188,10 +192,8 @@ def forward(params: EncoderParams, tokens) -> tuple[np.ndarray, EncoderTape]:
     h_dim = params.hidden_dim
 
     zx = x @ params.lstm_input_weights.T + params.lstm_bias  # (T, 4H)
-    gate_i = np.empty((big_t, h_dim))
-    gate_f = np.empty((big_t, h_dim))
-    gate_g = np.empty((big_t, h_dim))
-    gate_o = np.empty((big_t, h_dim))
+    gates = np.empty((big_t, 4 * h_dim))  # post-activation gate blocks
+    gi, gf, gg, go = (slice(n * h_dim, (n + 1) * h_dim) for n in range(4))
     cell = np.empty((big_t, h_dim))
     tanh_cell = np.empty((big_t, h_dim))
     hidden = np.empty((big_t, h_dim))
@@ -200,19 +202,18 @@ def forward(params: EncoderParams, tokens) -> tuple[np.ndarray, EncoderTape]:
     c = np.zeros(h_dim)
     for t in range(big_t):
         z = zx[t] + params.lstm_hidden_weights @ h
-        gate_i[t] = sigmoid(z[:h_dim])
-        gate_f[t] = sigmoid(z[h_dim:2 * h_dim])
-        gate_g[t] = np.tanh(z[2 * h_dim:3 * h_dim])
-        gate_o[t] = sigmoid(z[3 * h_dim:])
-        c = gate_f[t] * c + gate_i[t] * gate_g[t]
+        act = gates[t]
+        act[:] = _sigmoid(z)
+        act[gg] = np.tanh(z[gg])
+        c = act[gf] * c + act[gi] * act[gg]
         cell[t] = c
         tanh_cell[t] = np.tanh(c)
-        h = gate_o[t] * tanh_cell[t]
+        h = act[go] * tanh_cell[t]
         hidden[t] = h
 
     emissions = hidden @ params.out_weights.T + params.out_bias
-    tape = EncoderTape(x, token_ids, gate_i, gate_f, gate_g, gate_o,
-                       cell, tanh_cell, hidden)
+    tape = EncoderTape(x, token_ids, gates[:, gi], gates[:, gf], gates[:, gg],
+                       gates[:, go], cell, tanh_cell, hidden)
     return emissions, tape
 
 

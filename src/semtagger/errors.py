@@ -47,5 +47,9 @@ class UnknownTagError(SemtaggerError, KeyError):
         return self.args[0]
 
 
+class DivergenceError(SemtaggerError, ValueError):
+    """Scores or parameters became non-finite, as when training diverges."""
+
+
 class CheckpointError(SemtaggerError, ValueError):
     """Checkpoint file is malformed or inconsistent with its own manifest."""

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crf import init_crf_params, nll_grad, nll_loss, viterbi_decode
+from .crf import init_crf_params, nll_and_grad, nll_loss, viterbi_decode
 from .data import (build_vocab, encode, encode_tags, load_meta_tags,
                    read_context_embeddings, read_corpus, split)
 from .encoder import backward, forward, init_external_params, init_params
-from .errors import ConfigError, EmptyCorpusError
+from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, save_checkpoint)
 from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, LrSchedule, OptimState,
                     adam_step, clip_grads, init_optim_state, lr_at, sgd_step)
@@ -165,8 +165,7 @@ def sentence_loss_and_grads(model: TaggerModel, inputs,
                             gold: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """NLL of one sentence plus gradients for every model tensor."""
     emissions, tape = forward(model.encoder, inputs)
-    loss = nll_loss(model.crf, emissions, gold)
-    crf_grads = nll_grad(model.crf, emissions, gold)
+    loss, crf_grads = nll_and_grad(model.crf, emissions, gold)
     enc_grads = backward(model.encoder, tape, crf_grads.d_emissions)
     grads = enc_grads.tensors()
     grads["crf_transitions"] = crf_grads.d_transitions
@@ -227,29 +226,43 @@ def evaluate_meta(model: TaggerModel, data) -> float | None:
 def train_epoch(model: TaggerModel, train_data, val_data,
                 config: ExperimentConfig, epoch_index: int,
                 opt_state: OptimState) -> tuple[EpochMetrics, OptimState]:
-    """One seeded pass over the training data, then full-set metrics."""
+    """One seeded pass over the training data, then full-set metrics.
+
+    Non-finite scores or parameters raise ``DivergenceError`` naming the
+    experiment, the epoch and the batch step (or the end-of-epoch evaluation).
+    """
     lr = lr_at(LrSchedule(base_lr=config.base_lr), epoch_index)
     order = np.random.default_rng([config.seed, epoch_index]).permutation(
         len(train_data))
 
     sums = {k: np.zeros_like(v) for k, v in model.tensors().items()}
     count = 0
-    for i in order:
-        inputs, gold = train_data[i]
-        _, grads = sentence_loss_and_grads(model, inputs, gold)
-        for key in sums:
-            sums[key] += grads[key]
-        count += 1
-        if count == config.batch_size:
-            opt_state = _step(model, sums, count, config, opt_state, lr)
+    steps = 0  # optimizer steps taken in this epoch
+    batches = -(-len(order) // config.batch_size)
+    try:
+        for i in order:
+            inputs, gold = train_data[i]
+            _, grads = sentence_loss_and_grads(model, inputs, gold)
             for key in sums:
-                sums[key].fill(0.0)
-            count = 0
-    if count:
-        opt_state = _step(model, sums, count, config, opt_state, lr)
+                sums[key] += grads[key]
+            count += 1
+            if count == config.batch_size:
+                opt_state = _step(model, sums, count, config, opt_state, lr)
+                steps += 1
+                for key in sums:
+                    sums[key].fill(0.0)
+                count = 0
+        if count:
+            opt_state = _step(model, sums, count, config, opt_state, lr)
+            steps += 1
 
-    train_loss, train_acc = evaluate(model, train_data)
-    val_loss, val_acc = evaluate(model, val_data)
+        train_loss, train_acc = evaluate(model, train_data)
+        val_loss, val_acc = evaluate(model, val_data)
+    except DivergenceError as exc:
+        where = (f"batch step {steps + 1} of {batches}" if steps < batches
+                 else "the end-of-epoch evaluation")
+        raise DivergenceError(f"experiment {config.id} diverged in epoch "
+                              f"{epoch_index}, {where}: {exc}") from exc
     metrics = EpochMetrics(epoch=epoch_index, train_loss=train_loss,
                            train_acc=train_acc, val_loss=val_loss,
                            val_acc=val_acc, lr=lr)

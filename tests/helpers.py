@@ -99,9 +99,16 @@ def trans_mask(params: CrfParams) -> np.ndarray:
     return mask
 
 
-def random_crf_instance(rng: np.random.Generator, num_tags: int, length: int):
-    """A CRF with random finite transitions plus random emissions and gold path."""
+def random_crf_instance(rng: np.random.Generator, num_tags: int, length: int,
+                        block: tuple[float, float] | None = None):
+    """A CRF with random finite transitions plus random emissions and gold path.
+
+    Transitions are standard normal; with ``block=(low, high)`` the real-tag
+    block is redrawn from uniform(low, high) instead, for wide-range scores.
+    """
     trans = rng.normal(0.0, 1.0, size=(num_tags + 2, num_tags + 2))
+    if block is not None:
+        trans[:num_tags, :num_tags] = rng.uniform(*block, size=(num_tags, num_tags))
     trans[:, num_tags] = NEG_INF      # nothing enters START
     trans[num_tags + 1, :] = NEG_INF  # nothing leaves STOP
     params = CrfParams(num_tags=num_tags, transitions=trans)

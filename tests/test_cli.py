@@ -293,6 +293,37 @@ def test_meta_tags_flow_through_training(tmp_path, corpus_file, capsys):
     assert coarse >= fine  # rollup can only merge classes
 
 
+def package_env() -> dict[str, str]:
+    """Environment for a child process that imports this copy of the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(semtagger.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_divergence_exits_one_naming_the_epoch(tmp_path, corpus_file, capsys):
+    out = tmp_path / "run"
+    assert main(train_args(corpus_file, out, extra=["--lr", "1e300"])) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert "diverged in epoch 0" in errors[0] and "batch step" in errors[0]
+    assert "Traceback" not in err
+    assert not (out / "curves.csv").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    script = ("import sys, semtagger.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=package_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_console_script_usage_paths():
     """Run the `semtagger` script declared in pyproject.toml as a process.
 
@@ -306,14 +337,11 @@ def test_console_script_usage_paths():
         "semtagger"]
     module, func = target.split(":")
     script = f"import sys; from {module} import {func}; sys.exit({func}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(semtagger.__file__).parents[1]),
-                    env.get("PYTHONPATH")) if p)
 
     def run(*args):
         return subprocess.run([sys.executable, "-c", script, *args],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True,
+                              env=package_env())
 
     ok = run("--help")
     assert ok.returncode == 0, ok.stderr

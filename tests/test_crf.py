@@ -1,16 +1,33 @@
 """CRF layer against brute-force enumeration and finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import (brute_log_partition, brute_marginals, brute_viterbi,
                      fd_grad, random_crf_instance, rel_err, trans_mask)
-from semtagger import (DimensionError, EmptySequenceError, init_crf_params,
-                       log_partition, marginals, nll_grad, nll_loss,
-                       score_path, viterbi_decode, zero_crf_params)
+from semtagger import (DimensionError, DivergenceError, EmptySequenceError,
+                       init_crf_params, log_partition, marginals, nll_and_grad,
+                       nll_grad, nll_loss, score_path, viterbi_decode,
+                       zero_crf_params)
 from semtagger.crf import NEG_INF, CrfParams
+
+# Real-tag transition blocks far outside what exp() can represent: the scaled
+# recursion must fall back to log space where its exp-space sums underflow
+# and to term-by-term pair sums where a step's scale factor would overflow.
+WIDE_BLOCKS = ((-1000.0, 1000.0), (-5.0, 800.0))
+
+
+@pytest.fixture()
+def strict_fp():
+    """Overflow, division by zero and invalid operations raise; so does any
+    warning. Underflow is expected and stays silent."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def test_single_tag_single_step_by_hand():
@@ -37,15 +54,16 @@ def test_score_path_is_sum_of_terms():
     assert math.isclose(score_path(params, emissions, path), want, rel_tol=1e-15)
 
 
-def test_log_partition_matches_enumeration():
+def test_log_partition_matches_enumeration(strict_fp):
     rng = np.random.default_rng(0)
-    for trial in range(60):
-        k = int(rng.integers(1, 5))
-        big_t = int(rng.integers(1, 7))
-        params, emissions, _ = random_crf_instance(rng, k, big_t)
-        fast = log_partition(params, emissions)
-        slow = brute_log_partition(params, emissions)
-        assert abs(fast - slow) <= 1e-8, (trial, k, big_t)
+    for block in (None, *WIDE_BLOCKS):
+        for trial in range(60):
+            k = int(rng.integers(1, 5))
+            big_t = int(rng.integers(1, 7))
+            params, emissions, _ = random_crf_instance(rng, k, big_t, block)
+            fast = log_partition(params, emissions)
+            slow = brute_log_partition(params, emissions)
+            assert abs(fast - slow) <= 1e-8, (block, trial, k, big_t)
 
 
 def test_log_partition_stable_under_large_scores():
@@ -69,17 +87,24 @@ def test_nll_is_nonnegative_and_exceeded_by_no_path():
             params, emissions, gold) - 1e-10
 
 
-def test_marginals_match_enumeration():
+def test_marginals_match_enumeration(strict_fp):
     rng = np.random.default_rng(2)
-    for _ in range(40):
-        k = int(rng.integers(1, 5))
-        big_t = int(rng.integers(1, 7))
-        params, emissions, _ = random_crf_instance(rng, k, big_t)
-        unary, pairwise = marginals(params, emissions)
-        slow_u, slow_p = brute_marginals(params, emissions)
-        assert np.max(np.abs(unary - slow_u)) <= 1e-8
-        if big_t > 1:
-            assert np.max(np.abs(pairwise - slow_p)) <= 1e-8
+    for block in (None, *WIDE_BLOCKS):
+        for _ in range(40):
+            k = int(rng.integers(1, 5))
+            big_t = int(rng.integers(1, 7))
+            params, emissions, gold = random_crf_instance(rng, k, big_t, block)
+            unary, pairwise = marginals(params, emissions)
+            slow_u, slow_p = brute_marginals(params, emissions)
+            assert np.max(np.abs(unary - slow_u)) <= 1e-8
+            if big_t > 1:
+                assert np.max(np.abs(pairwise - slow_p)) <= 1e-8
+            # the gradient's expected transition counts are the summed pairs
+            d_trans = nll_grad(params, emissions, gold).d_transitions
+            observed = np.zeros((k, k))
+            np.add.at(observed, (gold[:-1], gold[1:]), 1.0)
+            assert np.max(np.abs(d_trans[:k, :k] + observed
+                                 - slow_p.sum(axis=0))) <= 1e-8
 
 
 def test_marginals_are_distributions():
@@ -105,21 +130,35 @@ def test_zero_transitions_factorize_to_softmax():
     assert np.allclose(unary, want, atol=1e-12)
 
 
-def test_nll_grad_matches_finite_differences():
+def _check_grads_against_finite_differences(grad_fn):
     # K >= 2: with a single tag the loss is identically zero and relative
     # error against finite-difference noise is undefined (see the K=1 test)
     rng = np.random.default_rng(6)
-    for _ in range(15):
-        k = int(rng.integers(2, 5))
-        big_t = int(rng.integers(1, 6))
-        params, emissions, gold = random_crf_instance(rng, k, big_t)
-        grads = nll_grad(params, emissions, gold)
+    for block in (None, *WIDE_BLOCKS):
+        for _ in range(15):
+            k = int(rng.integers(2, 5))
+            big_t = int(rng.integers(1, 6))
+            params, emissions, gold = random_crf_instance(rng, k, big_t, block)
+            grads = grad_fn(params, emissions, gold)
 
-        f = lambda: nll_loss(params, emissions, gold)
-        fd_t = fd_grad(f, params.transitions, 1e-6, mask=trans_mask(params))
-        fd_e = fd_grad(f, emissions, 1e-6)
-        assert rel_err(grads.d_transitions, fd_t) <= 1e-5
-        assert rel_err(grads.d_emissions, fd_e) <= 1e-5
+            f = lambda: nll_loss(params, emissions, gold)
+            fd_t = fd_grad(f, params.transitions, 1e-6, mask=trans_mask(params))
+            fd_e = fd_grad(f, emissions, 1e-6)
+            assert rel_err(grads.d_transitions, fd_t) <= 1e-5, block
+            assert rel_err(grads.d_emissions, fd_e) <= 1e-5, block
+
+
+def test_nll_grad_matches_finite_differences(strict_fp):
+    _check_grads_against_finite_differences(nll_grad)
+
+
+def test_nll_and_grad_matches_finite_differences(strict_fp):
+    def grads_checking_loss(params, emissions, gold):
+        loss, grads = nll_and_grad(params, emissions, gold)
+        assert abs(loss - nll_loss(params, emissions, gold)) <= 1e-12
+        return grads
+
+    _check_grads_against_finite_differences(grads_checking_loss)
 
 
 def test_single_tag_loss_and_grad_are_zero():
@@ -201,6 +240,22 @@ def test_emission_shape_errors():
         log_partition(params, np.zeros(3))
     with pytest.raises(ValueError):
         log_partition(params, np.full((2, 3), np.nan))
+
+
+def test_non_finite_scores_raise_divergence_error():
+    params = init_crf_params(3, seed=0)
+    emissions = np.zeros((2, 3))
+    emissions[1, 2] = np.nan
+    for fn in (log_partition, viterbi_decode, marginals):
+        with pytest.raises(DivergenceError, match="emissions must be finite"):
+            fn(params, emissions)
+    with pytest.raises(DivergenceError):
+        nll_and_grad(params, emissions, [0, 1])
+    bad = params.transitions.copy()
+    bad[1, 2] = -np.inf
+    with pytest.raises(DivergenceError, match="transitions must be finite"):
+        CrfParams(num_tags=3, transitions=bad)
+    assert issubclass(DivergenceError, ValueError)
 
 
 def test_path_validation_errors():
