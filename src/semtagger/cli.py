@@ -14,9 +14,8 @@ from dataclasses import replace
 from .errors import ConfigError, SemtaggerError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, load_checkpoint, tag_tokens,
                     tag_vectors)
-from .trainer import (ExperimentConfig, encode_corpus, encode_embedded,
-                      evaluate, evaluate_meta, load_experiment_configs,
-                      run_experiment, experiment_grid)
+from .trainer import (ExperimentConfig, encode_for, evaluate, evaluate_meta,
+                      load_experiment_configs, run_experiment, experiment_grid)
 from .data import read_context_embeddings, read_corpus
 
 logger = logging.getLogger("semtagger")
@@ -159,17 +158,13 @@ def cmd_eval(args) -> int:
     if model.mode == MODE_INTERNAL:
         if not args.corpus:
             args.parser.error("this checkpoint takes token input; pass --corpus")
-        data = encode_corpus(read_corpus(args.corpus), model.vocab, model.tags)
+        sentences = read_corpus(args.corpus)
     else:
         if not args.embeddings:
             args.parser.error(
                 "this checkpoint takes vector input; pass --embeddings")
-        embedded = read_context_embeddings(args.embeddings)
-        dim = embedded[0].vectors.shape[1]
-        if dim != model.encoder.input_dim:
-            raise ConfigError(f"embedding file has dim {dim} but the model "
-                              f"expects {model.encoder.input_dim}")
-        data = encode_embedded(embedded, model.tags)
+        sentences = read_context_embeddings(args.embeddings)
+    data = encode_for(model, sentences)
     loss, acc = evaluate(model, data)
     print(f"loss={loss:.6g}")
     print(f"accuracy={acc:.6g}")
@@ -240,12 +235,12 @@ def cmd_replicate(args) -> int:
             logger.warning("skipping experiment %d: no --embeddings given", n)
             continue
         out_dir = os.path.join(args.out, f"experiment{n}")
+        # an external row splits its embedding file; it takes no val corpus
+        val_corpus = (args.val_corpus
+                      if config.embedding_mode == MODE_INTERNAL else None)
         history = run_experiment(
-            config,
-            corpus=args.corpus if config.embedding_mode == MODE_INTERNAL else None,
-            embeddings=(args.embeddings
-                        if config.embedding_mode == MODE_EXTERNAL else None),
-            val_corpus=args.val_corpus, val_fraction=args.val_fraction,
+            config, corpus=args.corpus, embeddings=args.embeddings,
+            val_corpus=val_corpus, val_fraction=args.val_fraction,
             min_freq=args.min_freq, meta_tags_path=args.meta_tags,
             out_dir=out_dir,
         )

@@ -16,7 +16,7 @@ Gate layout in the stacked LSTM weights is fixed as four (H, ...) blocks in
 the order: input gate, forget gate, candidate, output gate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,40 +53,17 @@ class EncoderParams:
         return self.embedding.shape[0]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Named parameter tensors, for optimizers and checkpoints."""
-        out = {}
-        if self.embedding is not None:
-            out["embedding"] = self.embedding
-        out["lstm_input_weights"] = self.lstm_input_weights
-        out["lstm_hidden_weights"] = self.lstm_hidden_weights
-        out["lstm_bias"] = self.lstm_bias
-        out["out_weights"] = self.out_weights
-        out["out_bias"] = self.out_bias
-        return out
+        """Named parameter tensors in field order, for optimizers and
+        checkpoints; the embedding is left out in vector mode."""
+        return {f.name: getattr(self, f.name) for f in fields(EncoderParams)
+                if getattr(self, f.name) is not None}
 
 
 @dataclass
-class EncoderGradients:
+class EncoderGradients(EncoderParams):
     """Gradients shaped like EncoderParams; ``d_inputs`` only in vector mode."""
 
-    embedding: np.ndarray | None
-    lstm_input_weights: np.ndarray
-    lstm_hidden_weights: np.ndarray
-    lstm_bias: np.ndarray
-    out_weights: np.ndarray
-    out_bias: np.ndarray
     d_inputs: np.ndarray | None = None
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        if self.embedding is not None:
-            out["embedding"] = self.embedding
-        out["lstm_input_weights"] = self.lstm_input_weights
-        out["lstm_hidden_weights"] = self.lstm_hidden_weights
-        out["lstm_bias"] = self.lstm_bias
-        out["out_weights"] = self.out_weights
-        out["out_bias"] = self.out_bias
-        return out
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: anything derived from SemtaggerError
-(or IndexError from tag/id range checks) is a data/model error (exit 1);
-bad command lines are usage errors (exit 2) and are handled by argparse.
+The CLI maps these onto exit codes: anything derived from SemtaggerError,
+and any OSError, is a data/model error (exit 1); bad command lines are usage
+errors (exit 2) and are handled by argparse. The encoder's IndexError for an
+out-of-range token id is not mapped: CLI input cannot reach it, since ids come
+from ``Vocab.lookup`` and ``TaggerModel`` checks the vocab size against the
+embedding rows.
 """
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crf import CrfParams, viterbi_decode
-from .data import UNK_TOKEN, TagSet, Vocab, encode_tags
+from .data import UNK_TOKEN, TagSet, Vocab
 from .encoder import EncoderParams, forward
 from .errors import CheckpointError
 
@@ -29,21 +29,15 @@ class TaggerModel:
     crf: CrfParams
     tags: TagSet
     vocab: Vocab | None = None  # None in external-embedding mode
-    mode: str = MODE_INTERNAL
 
     def __post_init__(self):
-        if self.mode not in (MODE_INTERNAL, MODE_EXTERNAL):
-            raise CheckpointError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_INTERNAL:
-            if self.vocab is None or self.encoder.embedding is None:
-                raise CheckpointError("internal mode requires a vocab and embedding")
-            if len(self.vocab) != self.encoder.vocab_size:
-                raise CheckpointError(
-                    f"vocab has {len(self.vocab)} entries but embedding has "
-                    f"{self.encoder.vocab_size} rows"
-                )
-        elif self.encoder.embedding is not None:
-            raise CheckpointError("external mode must not carry an embedding table")
+        if (self.vocab is None) != (self.encoder.embedding is None):
+            raise CheckpointError("a vocab and an embedding table come together")
+        if self.vocab is not None and len(self.vocab) != self.encoder.vocab_size:
+            raise CheckpointError(
+                f"vocab has {len(self.vocab)} entries but embedding has "
+                f"{self.encoder.vocab_size} rows"
+            )
         if len(self.tags) != self.encoder.num_tags:
             raise CheckpointError(
                 f"tagset has {len(self.tags)} tags but encoder emits "
@@ -54,38 +48,41 @@ class TaggerModel:
                 f"CRF covers {self.crf.num_tags} tags but tagset has {len(self.tags)}"
             )
 
+    @property
+    def mode(self) -> str:
+        """Internal (learned embedding over a vocab) or external (vectors in)."""
+        return MODE_EXTERNAL if self.vocab is None else MODE_INTERNAL
+
     def tensors(self) -> dict[str, np.ndarray]:
         out = self.encoder.tensors()
         out["crf_transitions"] = self.crf.transitions
         return out
 
     def set_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        enc = self.encoder
-        if enc.embedding is not None:
-            enc.embedding = tensors["embedding"]
-        enc.lstm_input_weights = tensors["lstm_input_weights"]
-        enc.lstm_hidden_weights = tensors["lstm_hidden_weights"]
-        enc.lstm_bias = tensors["lstm_bias"]
-        enc.out_weights = tensors["out_weights"]
-        enc.out_bias = tensors["out_bias"]
+        for name in self.encoder.tensors():
+            setattr(self.encoder, name, tensors[name])
         # reconstruct so the sentinel/shape invariants are revalidated
         self.crf = CrfParams(self.crf.num_tags, tensors["crf_transitions"])
 
 
+def predicted_tags(model: TaggerModel, inputs) -> np.ndarray:
+    """Viterbi tag ids for already-encoded inputs (token ids or vectors)."""
+    emissions, _ = forward(model.encoder, inputs)
+    path, _ = viterbi_decode(model.crf, emissions)
+    return path
+
+
 def tag_tokens(model: TaggerModel, tokens: list[str]) -> list[str]:
     """Decode the best tag sequence for raw tokens (internal mode only)."""
-    if model.mode != MODE_INTERNAL:
+    if model.vocab is None:
         raise CheckpointError("token input requires an internal-embedding model")
     ids = np.array([model.vocab.lookup(t) for t in tokens], dtype=np.intp)
-    emissions, _ = forward(model.encoder, ids)
-    path, _ = viterbi_decode(model.crf, emissions)
-    return [model.tags.id_to_tag[i] for i in path]
+    return [model.tags.id_to_tag[i] for i in predicted_tags(model, ids)]
 
 
 def tag_vectors(model: TaggerModel, vectors: np.ndarray) -> list[str]:
     """Decode the best tag sequence for precomputed context vectors."""
-    emissions, _ = forward(model.encoder, np.asarray(vectors, dtype=np.float64))
-    path, _ = viterbi_decode(model.crf, emissions)
+    path = predicted_tags(model, np.asarray(vectors, dtype=np.float64))
     return [model.tags.id_to_tag[i] for i in path]
 
 
@@ -114,6 +111,8 @@ def _tensor(manifest: dict, name: str) -> np.ndarray:
         arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad or missing tensor {name!r}: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"tensor {name!r} holds non-finite values")
     return arr
 
 
@@ -136,10 +135,13 @@ def load_checkpoint(path) -> TaggerModel:
     id_to_tag = manifest.get("tags")
     if not isinstance(id_to_tag, list) or not id_to_tag:
         raise CheckpointError("checkpoint lists no tags")
+    meta_tags = manifest.get("meta_tags")
+    if meta_tags is not None and not isinstance(meta_tags, dict):
+        raise CheckpointError("meta_tags must be null or a tag-to-meta-tag object")
     tags = TagSet(
         tag_to_id={t: i for i, t in enumerate(id_to_tag)},
         id_to_tag=list(id_to_tag),
-        meta_tags=manifest.get("meta_tags"),
+        meta_tags=meta_tags,
     )
 
     vocab = None
@@ -166,15 +168,4 @@ def load_checkpoint(path) -> TaggerModel:
         crf = CrfParams(len(id_to_tag), _tensor(manifest, "crf_transitions"))
     except ValueError as exc:  # covers DimensionError and shape mismatches
         raise CheckpointError(f"inconsistent tensors: {exc}") from None
-    return TaggerModel(encoder=encoder, crf=crf, tags=tags, vocab=vocab, mode=mode)
-
-
-def predicted_tags(model: TaggerModel, inputs) -> np.ndarray:
-    """Viterbi tag ids for already-encoded inputs (token ids or vectors)."""
-    emissions, _ = forward(model.encoder, inputs)
-    path, _ = viterbi_decode(model.crf, emissions)
-    return path
-
-
-def gold_tag_ids(model: TaggerModel, tag_seq) -> np.ndarray:
-    return encode_tags(tag_seq, model.tags)
+    return TaggerModel(encoder=encoder, crf=crf, tags=tags, vocab=vocab)

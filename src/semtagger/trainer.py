@@ -20,7 +20,8 @@ from .data import (build_vocab, encode, encode_tags, load_meta_tags,
                    read_context_embeddings, read_corpus, split)
 from .encoder import backward, forward, init_external_params, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
-from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, save_checkpoint)
+from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
+                    save_checkpoint)
 from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, LrSchedule, OptimState,
                     adam_step, clip_grads, init_optim_state, lr_at, sgd_step)
 
@@ -146,6 +147,19 @@ def encode_embedded(sentences, tags) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(s.vectors, encode_tags(s.tags, tags)) for s in sentences]
 
 
+def encode_for(model: TaggerModel, sentences) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(encoder input, gold tag ids) per sentence, in the model's mode: vocab
+    ids for a model with a vocab, the sentences' own vectors otherwise."""
+    if model.vocab is not None:
+        return encode_corpus(sentences, model.vocab, model.tags)
+    expected = model.encoder.input_dim
+    # the loader keeps a file's dim uniform; a split may leave no sentences
+    if sentences and sentences[0].vectors.shape[1] != expected:
+        raise ConfigError(f"embedding file has dim {sentences[0].vectors.shape[1]} "
+                          f"but the model takes emb_dim {expected}")
+    return encode_embedded(sentences, model.tags)
+
+
 def build_model(config: ExperimentConfig, vocab, tags) -> TaggerModel:
     """Fresh, seeded parameters for the given experiment configuration."""
     if config.embedding_mode == MODE_INTERNAL:
@@ -157,8 +171,7 @@ def build_model(config: ExperimentConfig, vocab, tags) -> TaggerModel:
         vocab = None
     # offset so the CRF draws from a stream distinct from the encoder's
     crf = init_crf_params(len(tags), seed=config.seed + 1)
-    return TaggerModel(encoder=encoder, crf=crf, tags=tags, vocab=vocab,
-                       mode=config.embedding_mode)
+    return TaggerModel(encoder=encoder, crf=crf, tags=tags, vocab=vocab)
 
 
 def sentence_loss_and_grads(model: TaggerModel, inputs,
@@ -216,8 +229,7 @@ def evaluate_meta(model: TaggerModel, data) -> float | None:
     meta = [mapping.get(t, t) for t in model.tags.id_to_tag]
     correct, tokens = 0, 0
     for inputs, gold in data:
-        emissions, _ = forward(model.encoder, inputs)
-        path, _ = viterbi_decode(model.crf, emissions)
+        path = predicted_tags(model, inputs)
         correct += sum(meta[p] == meta[g] for p, g in zip(path, gold))
         tokens += gold.shape[0]
     return correct / tokens
@@ -337,33 +349,25 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
         else:
             train_s, val_s = split(sentences, val_fraction, config.seed)
         vocab, _ = build_vocab(train_s, min_freq=min_freq)
-        # close the tagset over train plus val so held-out gold tags encode
-        _, tags = build_vocab(train_s + val_s)
     else:
         if embeddings is None:
             raise ConfigError("external embedding mode requires an embedding file")
-        embedded = read_context_embeddings(embeddings)
-        dim = embedded[0].vectors.shape[1]
-        if dim != config.emb_dim:
-            raise ConfigError(f"embedding file has dim {dim} but the "
-                              f"experiment expects emb_dim {config.emb_dim}")
-        train_s, val_s = split(embedded, val_fraction, config.seed)
+        if val_corpus is not None:
+            raise ConfigError("a validation corpus needs internal embedding mode; "
+                              "external mode splits the embedding file")
+        train_s, val_s = split(read_context_embeddings(embeddings),
+                               val_fraction, config.seed)
         vocab = None
-        _, tags = build_vocab(train_s + val_s)
+    # close the tagset over train plus val so held-out gold tags encode
+    _, tags = build_vocab(train_s + val_s)
 
     if meta_tags_path is not None:
         with open(meta_tags_path, encoding="utf-8") as fh:
             tags = replace(tags, meta_tags=load_meta_tags(fh))
 
     model = build_model(config, vocab, tags)
-    if config.embedding_mode == MODE_INTERNAL:
-        train_data = encode_corpus(train_s, model.vocab, tags)
-        val_data = encode_corpus(val_s, model.vocab, tags)
-    else:
-        train_data = encode_embedded(train_s, tags)
-        val_data = encode_embedded(val_s, tags)
-
-    history = fit(model, train_data, val_data, config)
+    history = fit(model, encode_for(model, train_s), encode_for(model, val_s),
+                  config)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -230,6 +230,31 @@ def test_external_train_eval_tag(tmp_path, capsys):
     tagged = capsys.readouterr().out
     assert tagged.count("\t") > 0
 
+    other = tmp_path / "dim5"
+    other.mkdir()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                 "--embeddings", str(external_fixture(other, dim=5))]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert "embedding file has dim 5" in errors[0] and "emb_dim 6" in errors[0]
+
+
+def test_replicate_val_corpus_goes_to_internal_rows_only(tmp_path, corpus_file,
+                                                          capsys):
+    ini = tmp_path / "grid.ini"
+    ini.write_text(
+        "[experiment 1]\nepochs = 1\nemb_dim = 4\nhidden_dim = 3\n"
+        "[experiment 7]\noptimizer = sgd\nepochs = 1\nemb_dim = 6\n"
+        "hidden_dim = 3\nembedding_mode = external\n")
+    code = main(["replicate", "--corpus", str(corpus_file),
+                 "--val-corpus", str(corpus_file), "--embeddings",
+                 str(external_fixture(tmp_path)), "--config", str(ini),
+                 "--out", str(tmp_path / "rep")])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "experiment 1:" in stdout and "experiment 7:" in stdout
+
 
 def test_replicate_with_custom_config(tmp_path, corpus_file, capsys):
     ini = tmp_path / "grid.ini"

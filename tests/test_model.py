@@ -28,8 +28,7 @@ def make_external_model(seed=0):
     tagset = TagSet({t: i for i, t in enumerate(tags)}, tags)
     encoder = init_external_params(6, 4, len(tags), seed=seed)
     crf = init_crf_params(len(tags), seed=seed + 1)
-    return TaggerModel(encoder=encoder, crf=crf, tags=tagset, vocab=None,
-                       mode=MODE_EXTERNAL)
+    return TaggerModel(encoder=encoder, crf=crf, tags=tagset, vocab=None)
 
 
 def test_checkpoint_round_trip_internal(tmp_path):
@@ -86,8 +85,11 @@ def _manifest(tmp_path, mutate):
     lambda m: m["tensors"].pop("crf_transitions"),
     lambda m: m["tensors"]["lstm_bias"].update(shape=[7]),
     lambda m: m["tensors"]["embedding"]["data"].pop(),
+    lambda m: m.update(meta_tags=[["CON", "ENT"]]),
+    lambda m: m["tensors"]["embedding"]["data"].__setitem__(0, float("nan")),
 ], ids=["format", "version", "mode", "no-tags", "no-vocab", "unk-missing",
-        "missing-tensor", "bad-shape", "truncated-data"])
+        "missing-tensor", "bad-shape", "truncated-data", "meta-tags-list",
+        "non-finite-tensor"])
 def test_checkpoint_rejects_tampering(tmp_path, mutate):
     path = _manifest(tmp_path, mutate)
     with pytest.raises(CheckpointError):
@@ -123,7 +125,7 @@ def test_model_consistency_validation():
     ext = make_external_model()
     with pytest.raises(CheckpointError):  # external mode must not carry one
         TaggerModel(encoder=model.encoder, crf=ext.crf, tags=ext.tags,
-                    vocab=None, mode=MODE_EXTERNAL)
+                    vocab=None)
 
 
 def test_tag_tokens_handles_unknown_words():

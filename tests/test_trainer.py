@@ -114,12 +114,23 @@ def test_load_experiment_configs_errors(tmp_path):
 
 
 def test_sentence_loss_and_grads_keys_match_model():
+    # clip_grads sums norms and checkpoints write tensors in this order
+    order = ["embedding", "lstm_input_weights", "lstm_hidden_weights",
+             "lstm_bias", "out_weights", "out_bias", "crf_transitions"]
     model, data, _ = tiny_setup()
-    loss, grads = sentence_loss_and_grads(model, *data[0])
-    assert loss >= 0.0
-    assert set(grads) == set(model.tensors())
-    for name, g in grads.items():
-        assert g.shape == model.tensors()[name].shape
+    external = build_model(ExperimentConfig(emb_dim=5, hidden_dim=4,
+                                            embedding_mode=MODE_EXTERNAL),
+                           None, model.tags)
+    vectors = np.random.default_rng(0).normal(size=(3, 5))
+    for m, sentence, names in ((model, data[0], order),
+                               (external, (vectors, np.array([0, 2, 1])),
+                                order[1:])):
+        loss, grads = sentence_loss_and_grads(m, *sentence)
+        assert loss >= 0.0
+        assert list(m.tensors()) == names
+        assert list(grads) == names
+        for name, g in grads.items():
+            assert g.shape == m.tensors()[name].shape
 
 
 def test_one_epoch_reduces_training_loss():
@@ -285,6 +296,12 @@ def test_run_experiment_mode_errors(tmp_path):
                               embedding_mode=MODE_EXTERNAL)
     with pytest.raises(ConfigError):
         run_experiment(config, embeddings=emb_file)
+    # a val corpus is for internal mode only; it is rejected before it is read
+    config = ExperimentConfig(epochs=1, emb_dim=3,
+                              embedding_mode=MODE_EXTERNAL)
+    with pytest.raises(ConfigError):
+        run_experiment(config, embeddings=emb_file,
+                       val_corpus=tmp_path / "missing.tsv")
 
 
 def test_run_experiment_explicit_val_corpus_closes_tagset(tmp_path):
