@@ -16,15 +16,15 @@ from .data import (EmbeddedSentence, Sentence, TagSet, UNK_ID, UNK_TOKEN,
                    load_context_embeddings, load_meta_tags, parse_corpus,
                    read_context_embeddings, read_corpus,
                    serialize_context_embeddings, serialize_corpus, split)
-from .encoder import (EncoderGradients, EncoderParams, EncoderTape, backward,
-                      forward, init_external_params, init_params)
+from .encoder import (EncoderParams, EncoderTape, backward, forward,
+                      init_external_params, init_params)
 from .errors import (CheckpointError, ConfigError, DimensionError,
                      DivergenceError, EmptyCorpusError, EmptySequenceError,
                      ParseError, SemtaggerError, UnknownTagError)
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel,
                     load_checkpoint, save_checkpoint, tag_tokens, tag_vectors)
-from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, LrSchedule, OptimState,
-                    adam_step, clip_grads, init_optim_state, lr_at, sgd_step)
+from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, OptimState, adam_step,
+                    clip_grads, init_optim_state, lr_at, sgd_step)
 from .trainer import (EpochMetrics, ExperimentConfig, build_model,
                       encode_corpus, encode_embedded, evaluate, evaluate_meta,
                       export_curves, fit, load_experiment_configs,

@@ -55,15 +55,8 @@ class EncoderParams:
     def tensors(self) -> dict[str, np.ndarray]:
         """Named parameter tensors in field order, for optimizers and
         checkpoints; the embedding is left out in vector mode."""
-        return {f.name: getattr(self, f.name) for f in fields(EncoderParams)
+        return {f.name: getattr(self, f.name) for f in fields(self)
                 if getattr(self, f.name) is not None}
-
-
-@dataclass
-class EncoderGradients(EncoderParams):
-    """Gradients shaped like EncoderParams; ``d_inputs`` only in vector mode."""
-
-    d_inputs: np.ndarray | None = None
 
 
 @dataclass
@@ -195,13 +188,14 @@ def forward(params: EncoderParams, tokens) -> tuple[np.ndarray, EncoderTape]:
 
 
 def backward(params: EncoderParams, tape: EncoderTape,
-             d_emissions: np.ndarray) -> EncoderGradients:
-    """Exact reverse-mode gradients of sum(d_emissions * emissions).
+             d_emissions: np.ndarray) -> EncoderParams:
+    """Exact reverse-mode gradients of sum(d_emissions * emissions), held in
+    an ``EncoderParams`` shaped like ``params``.
 
     The tape must come from a ``forward`` call with the same parameters.
     In token mode the embedding gradient is dense (V, D) but nonzero only on
-    rows of tokens present in the sentence; in vector mode ``d_inputs``
-    carries the (T, D) gradient with respect to the external vectors.
+    rows of tokens present in the sentence. In vector mode the inputs are
+    data, so no gradient is taken with respect to them.
     """
     big_t, h_dim = tape.hidden.shape
     if h_dim != params.hidden_dim or tape.inputs.shape[1] != params.input_dim:
@@ -236,11 +230,9 @@ def backward(params: EncoderParams, tape: EncoderTape,
     d_w_x = dz.T @ tape.inputs
     d_w_h = dz.T @ h_prev
     d_bias = dz.sum(axis=0)
-    d_inputs = dz @ params.lstm_input_weights  # (T, D)
 
+    d_embedding = None
     if tape.token_ids is not None:
         d_embedding = np.zeros_like(params.embedding)
-        np.add.at(d_embedding, tape.token_ids, d_inputs)
-        return EncoderGradients(d_embedding, d_w_x, d_w_h, d_bias, d_out_w, d_out_b)
-    return EncoderGradients(None, d_w_x, d_w_h, d_bias, d_out_w, d_out_b,
-                            d_inputs=d_inputs)
+        np.add.at(d_embedding, tape.token_ids, dz @ params.lstm_input_weights)
+    return EncoderParams(d_embedding, d_w_x, d_w_h, d_bias, d_out_w, d_out_b)

@@ -7,7 +7,7 @@ bit for bit.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -157,14 +157,9 @@ def load_checkpoint(path) -> TaggerModel:
         )
 
     try:
-        encoder = EncoderParams(
-            embedding=_tensor(manifest, "embedding") if mode == MODE_INTERNAL else None,
-            lstm_input_weights=_tensor(manifest, "lstm_input_weights"),
-            lstm_hidden_weights=_tensor(manifest, "lstm_hidden_weights"),
-            lstm_bias=_tensor(manifest, "lstm_bias"),
-            out_weights=_tensor(manifest, "out_weights"),
-            out_bias=_tensor(manifest, "out_bias"),
-        )
+        encoder = EncoderParams(*(
+            None if f.name == "embedding" and mode == MODE_EXTERNAL
+            else _tensor(manifest, f.name) for f in fields(EncoderParams)))
         crf = CrfParams(len(id_to_tag), _tensor(manifest, "crf_transitions"))
     except ValueError as exc:  # covers DimensionError and shape mismatches
         raise CheckpointError(f"inconsistent tensors: {exc}") from None

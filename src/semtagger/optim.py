@@ -2,10 +2,11 @@
 
 Optimizers operate on flat dicts of named float64 arrays so the same code
 updates encoder tensors and the CRF transition matrix. Steps are functional:
-they return fresh arrays / state and never mutate their inputs.
+they return fresh arrays / state and never mutate their inputs. Adam's
+hyperparameters and the schedule's decay are fixed module constants.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,27 +15,22 @@ from .errors import ConfigError, DimensionError
 DEFAULT_ADAM_LR = 1e-3
 DEFAULT_SGD_LR = 1e-2
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-@dataclass
-class LrSchedule:
-    """lr(epoch) = base_lr * decay_factor ** floor(epoch / decay_every), 0-indexed."""
-
-    base_lr: float
-    decay_factor: float = 0.1
-    decay_every: int = 10
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if self.decay_every < 1:
-            raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
+LR_DECAY = 0.1         # the learning rate is multiplied by this ...
+LR_DECAY_EPOCHS = 10   # ... once every this many epochs
 
 
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    """Learning rate in effect for the given 0-indexed epoch."""
+def lr_at(base_lr: float, epoch: int) -> float:
+    """Learning rate in effect for the given 0-indexed epoch:
+    base_lr * LR_DECAY ** floor(epoch / LR_DECAY_EPOCHS)."""
+    if base_lr <= 0:
+        raise ConfigError(f"base_lr must be positive, got {base_lr}")
     if epoch < 0:
         raise ConfigError(f"epoch must be >= 0, got {epoch}")
-    return schedule.base_lr * schedule.decay_factor ** (epoch // schedule.decay_every)
+    return base_lr * LR_DECAY ** (epoch // LR_DECAY_EPOCHS)
 
 
 @dataclass
@@ -45,9 +41,6 @@ class OptimState:
     step_count: int = 0
     m: dict[str, np.ndarray] | None = None  # first moments
     v: dict[str, np.ndarray] | None = None  # second moments
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optim_state(kind: str, params: dict[str, np.ndarray]) -> OptimState:
@@ -94,7 +87,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     _check_shapes(params, state.m)
 
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     new_params, new_m, new_v = {}, {}, {}
@@ -104,10 +97,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v = b2 * state.v[name] + (1.0 - b2) * g * g
         new_m[name] = m
         new_v[name] = v
-        new_params[name] = p - lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-    new_state = OptimState(kind="adam", step_count=t, m=new_m, v=new_v,
-                           beta1=b1, beta2=b2, eps=state.eps)
-    return new_params, new_state
+        new_params[name] = p - lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    return new_params, OptimState(kind="adam", step_count=t, m=new_m, v=new_v)
 
 
 def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:

@@ -22,8 +22,8 @@ from .encoder import backward, forward, init_external_params, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
                     save_checkpoint)
-from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, LrSchedule, OptimState,
-                    adam_step, clip_grads, init_optim_state, lr_at, sgd_step)
+from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, OptimState, adam_step,
+                    clip_grads, init_optim_state, lr_at, sgd_step)
 
 logger = logging.getLogger("semtagger")
 
@@ -243,35 +243,29 @@ def train_epoch(model: TaggerModel, train_data, val_data,
     Non-finite scores or parameters raise ``DivergenceError`` naming the
     experiment, the epoch and the batch step (or the end-of-epoch evaluation).
     """
-    lr = lr_at(LrSchedule(base_lr=config.base_lr), epoch_index)
+    lr = lr_at(config.base_lr, epoch_index)
     order = np.random.default_rng([config.seed, epoch_index]).permutation(
         len(train_data))
 
+    size = config.batch_size
+    batches = -(-len(order) // size)
     sums = {k: np.zeros_like(v) for k, v in model.tensors().items()}
-    count = 0
-    steps = 0  # optimizer steps taken in this epoch
-    batches = -(-len(order) // config.batch_size)
     try:
-        for i in order:
-            inputs, gold = train_data[i]
-            _, grads = sentence_loss_and_grads(model, inputs, gold)
-            for key in sums:
-                sums[key] += grads[key]
-            count += 1
-            if count == config.batch_size:
-                opt_state = _step(model, sums, count, config, opt_state, lr)
-                steps += 1
+        for step in range(batches):
+            batch = order[step * size:(step + 1) * size]
+            for i in batch:
+                inputs, gold = train_data[i]
+                _, grads = sentence_loss_and_grads(model, inputs, gold)
                 for key in sums:
-                    sums[key].fill(0.0)
-                count = 0
-        if count:
-            opt_state = _step(model, sums, count, config, opt_state, lr)
-            steps += 1
-
+                    sums[key] += grads[key]
+            opt_state = _step(model, sums, len(batch), config, opt_state, lr)
+            for key in sums:
+                sums[key].fill(0.0)
+        step = batches  # past the last batch: evaluating
         train_loss, train_acc = evaluate(model, train_data)
         val_loss, val_acc = evaluate(model, val_data)
     except DivergenceError as exc:
-        where = (f"batch step {steps + 1} of {batches}" if steps < batches
+        where = (f"batch step {step + 1} of {batches}" if step < batches
                  else "the end-of-epoch evaluation")
         raise DivergenceError(f"experiment {config.id} diverged in epoch "
                               f"{epoch_index}, {where}: {exc}") from exc

@@ -1,8 +1,13 @@
-"""Golden-curves regression: a fixed-seed experiment-6 run must reproduce
-``tests/data/golden_curves.csv`` line for line, so a refactor or speed-up
-cannot change training without this test noticing.
+"""Golden-curves regression: fixed-seed runs must reproduce the files under
+``tests/data/`` line for line, so a refactor or speed-up cannot change
+training without these tests noticing.
 
-Regenerate the file only when training is meant to change, and say why in
+* ``golden_curves.csv``: experiment 6 (token mode, Adam) for 3 epochs.
+* ``golden_curves_external.csv``: vector mode, SGD with gradient clipping,
+  for 12 epochs, so the learning rate drops after epoch 9 and every epoch
+  ends on a partial batch.
+
+Regenerate the files only when training is meant to change, and say why in
 CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -13,10 +18,15 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from helpers import make_toy_corpus
-from semtagger import experiment_grid, run_experiment, serialize_corpus
+import numpy as np
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_curves.csv"
+from helpers import make_toy_corpus, type_vectors
+from semtagger import (EmbeddedSentence, experiment_grid, run_experiment,
+                       serialize_context_embeddings, serialize_corpus)
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden_curves.csv"
+GOLDEN_EXTERNAL = DATA / "golden_curves_external.csv"
 
 
 def golden_run(work: Path) -> list[str]:
@@ -31,17 +41,44 @@ def golden_run(work: Path) -> list[str]:
     return (work / "run" / "curves.csv").read_text(encoding="utf-8").splitlines()
 
 
-def test_curves_match_golden_file(tmp_path):
-    want = GOLDEN.read_text(encoding="utf-8").splitlines()
-    got = golden_run(tmp_path)
-    assert len(got) == len(want) == 4
+def golden_external_run(work: Path) -> list[str]:
+    """Experiment 7's optimizer (SGD, batch 5) at emb 6, hidden 4, with
+    base_lr 0.1 and clip_norm 1.5 (about half the steps clip), for 12 epochs
+    on 24 sentences of 2-9 tokens; the split leaves 22 for training, so each
+    epoch ends on a batch of 2. Returns the curves.csv lines."""
+    base = make_toy_corpus(24, vocab_size=30, num_tags=5, seed=2025,
+                           min_len=2, max_len=9)
+    table = type_vectors(30, 6, seed=2026)
+    embedded = [EmbeddedSentence(s.tokens, s.tags,
+                                 np.vstack([table[int(t[3:])] for t in s.tokens]))
+                for s in base]
+    vectors = work / "vectors.txt"
+    vectors.write_text(serialize_context_embeddings(embedded), encoding="utf-8")
+    config = replace(experiment_grid()[7], epochs=12, emb_dim=6, hidden_dim=4,
+                     base_lr=0.1, clip_norm=1.5)
+    run_experiment(config, embeddings=vectors, out_dir=work / "run")
+    return (work / "run" / "curves.csv").read_text(encoding="utf-8").splitlines()
+
+
+def check_against(path: Path, got: list[str], epochs: int) -> None:
+    want = path.read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want) == epochs + 1
     for line_no, (g, w) in enumerate(zip(got, want), start=1):
-        assert g == w, f"curves.csv line {line_no}: got {g!r}, golden {w!r}"
+        assert g == w, f"{path.name} line {line_no}: got {g!r}, golden {w!r}"
+
+
+def test_curves_match_golden_file(tmp_path):
+    check_against(GOLDEN, golden_run(tmp_path), epochs=3)
+
+
+def test_external_curves_match_golden_file(tmp_path):
+    check_against(GOLDEN_EXTERNAL, golden_external_run(tmp_path), epochs=12)
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        lines = golden_run(Path(tmp))
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    DATA.mkdir(exist_ok=True)
+    for path, run in ((GOLDEN, golden_run), (GOLDEN_EXTERNAL, golden_external_run)):
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = run(Path(tmp))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"wrote {path}", file=sys.stderr)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from semtagger import (ConfigError, DimensionError, LrSchedule, adam_step,
-                       clip_grads, init_optim_state, lr_at, sgd_step)
+from semtagger import (ConfigError, DimensionError, adam_step, clip_grads,
+                       init_optim_state, lr_at, sgd_step)
 from semtagger.crf import NEG_INF, zero_crf_params
 
 
@@ -97,22 +97,19 @@ def test_zero_grad_cells_stay_put_under_both_optimizers():
 
 
 def test_lr_schedule_decays_every_ten_epochs():
-    sched = LrSchedule(base_lr=0.01)
     for epoch in range(10):
-        assert lr_at(sched, epoch) == 0.01
+        assert lr_at(0.01, epoch) == 0.01
     for epoch in range(10, 20):
-        assert math.isclose(lr_at(sched, epoch), 0.001, rel_tol=1e-12)
-    assert math.isclose(lr_at(sched, 20), 0.0001, rel_tol=1e-12)
-    assert math.isclose(lr_at(sched, 35), 0.01 * 0.1 ** 3, rel_tol=1e-12)
+        assert math.isclose(lr_at(0.01, epoch), 0.001, rel_tol=1e-12)
+    assert math.isclose(lr_at(0.01, 20), 0.0001, rel_tol=1e-12)
+    assert math.isclose(lr_at(0.01, 35), 0.01 * 0.1 ** 3, rel_tol=1e-12)
 
 
 def test_lr_schedule_validation():
     with pytest.raises(ConfigError):
-        LrSchedule(base_lr=0.0)
+        lr_at(0.0, 0)
     with pytest.raises(ConfigError):
-        LrSchedule(base_lr=0.1, decay_every=0)
-    with pytest.raises(ConfigError):
-        lr_at(LrSchedule(base_lr=0.1), -1)
+        lr_at(0.1, -1)
 
 
 def test_clip_rescales_to_max_norm():

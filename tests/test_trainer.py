@@ -15,6 +15,8 @@ from semtagger import (ConfigError, EmptyCorpusError, ExperimentConfig,
                        train_epoch, load_checkpoint)
 from semtagger.data import EmbeddedSentence, Sentence
 from semtagger.model import MODE_EXTERNAL, MODE_INTERNAL
+from semtagger import trainer as trainer_module
+from semtagger.errors import DivergenceError
 from semtagger.optim import init_optim_state
 from semtagger.trainer import DEFAULT_ADAM_LR, DEFAULT_SGD_LR
 
@@ -172,6 +174,37 @@ def test_trailing_partial_batch_still_steps():
     state = init_optim_state("adam", model.tensors())
     _, state = train_epoch(model, data, data, config, 0, state)
     assert state.step_count == 3  # 2 + 2 + trailing 1
+
+
+def test_divergence_names_the_batch_step_or_the_evaluation(monkeypatch):
+    config = ExperimentConfig(id=4, optimizer="sgd", emb_dim=4, hidden_dim=3,
+                              epochs=1, batch_size=2, seed=5)
+    model, data, _ = tiny_setup(n=5, config=config)
+    real = trainer_module.sentence_loss_and_grads
+
+    def diverge(*args):
+        raise DivergenceError("emissions must be finite")
+
+    def diverge_on_call(n):
+        calls = []
+
+        def fake(*args):
+            calls.append(None)
+            return diverge() if len(calls) == n else real(*args)
+        return fake
+
+    # 5 sentences in batches of 2: sentences 1-2, 3-4, then a trailing 5
+    for call, where in ((1, "batch step 1 of 3"), (4, "batch step 2 of 3"),
+                        (5, "batch step 3 of 3"),
+                        (6, "the end-of-epoch evaluation")):
+        monkeypatch.setattr(trainer_module, "sentence_loss_and_grads",
+                            diverge_on_call(call))
+        monkeypatch.setattr(trainer_module, "evaluate", diverge)
+        with pytest.raises(DivergenceError) as err:
+            train_epoch(model, data, data, config, 0,
+                        init_optim_state("sgd", model.tensors()))
+        assert str(err.value) == (f"experiment 4 diverged in epoch 0, {where}: "
+                                  "emissions must be finite")
 
 
 def test_fit_is_deterministic():
