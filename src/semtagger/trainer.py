@@ -352,6 +352,10 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
         train_s, val_s = split(read_context_embeddings(embeddings),
                                val_fraction, config.seed)
         vocab = None
+    if not val_s:  # only a split of a one-sentence file leaves it empty
+        source = corpus if config.embedding_mode == MODE_INTERNAL else embeddings
+        raise EmptyCorpusError(f"the validation split is empty: {source} holds "
+                               "one sentence, and a split needs at least two")
     # close the tagset over train plus val so held-out gold tags encode
     _, tags = build_vocab(train_s + val_s)
 
@@ -371,7 +375,7 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
             "epochs": config.epochs, "batch_size": config.batch_size,
             "emb_dim": config.emb_dim, "hidden_dim": config.hidden_dim,
             "embedding_mode": config.embedding_mode, "base_lr": config.base_lr,
-            "seed": config.seed, "min_freq": min_freq,
+            "clip_norm": config.clip_norm, "seed": config.seed, "min_freq": min_freq,
             "val_fraction": val_fraction,
         }
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.json"),

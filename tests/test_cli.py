@@ -151,6 +151,23 @@ def test_bad_corpus_exits_one(tmp_path, capsys):
     assert "error: line 1" in capsys.readouterr().err
 
 
+def test_one_sentence_file_is_rejected_before_training(tmp_path, capsys):
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("a\tX\nb\tY\n")
+    vectors = tmp_path / "one.txt"
+    vectors.write_text("2 3\na\tX\t1 2 3\nb\tY\t0 0 1\n")
+    for source in (["--corpus", str(corpus)],
+                   ["--embeddings", str(vectors), "--emb-dim", "3"]):
+        out = tmp_path / source[0].lstrip("-")
+        code = main(["train", *source, "--out", str(out), "--epochs", "2",
+                     "--hidden-dim", "2"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: the validation split is empty: {source[1]} "
+                       "holds one sentence, and a split needs at least two"]
+        assert not (out / "curves.csv").exists()
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     code = main(["train", "--corpus", str(tmp_path / "nope.tsv"),
                  "--out", str(tmp_path / "o"), "--epochs", "1"])

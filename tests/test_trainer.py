@@ -1,6 +1,7 @@
 """Training loop semantics, experiment grid, config files, and curve export."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -292,6 +293,24 @@ def test_run_experiment_internal_writes_artifacts(tmp_path):
     model = load_checkpoint(out / "checkpoint.json")
     assert model.mode == MODE_INTERNAL
     assert read_curves(out / "curves.csv")[-1].epoch == 1
+
+
+def test_run_experiment_provenance_records_every_setting(tmp_path):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(serialize_corpus(
+        make_toy_corpus(12, vocab_size=8, num_tags=3, seed=4)))
+    config = ExperimentConfig(id=3, optimizer="sgd", emb_dim=5, hidden_dim=4,
+                              epochs=1, batch_size=4, base_lr=0.05, seed=3,
+                              clip_norm=0.75)
+    run_experiment(config, corpus=corpus, out_dir=tmp_path, min_freq=2,
+                   val_fraction=0.25)
+    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert manifest["provenance"] == {
+        "experiment": 3, "optimizer": "sgd", "epochs": 1, "batch_size": 4,
+        "emb_dim": 5, "hidden_dim": 4, "embedding_mode": MODE_INTERNAL,
+        "base_lr": 0.05, "clip_norm": 0.75, "seed": 3, "min_freq": 2,
+        "val_fraction": 0.25,
+    }
 
 
 def test_run_experiment_external_mode(tmp_path):
