@@ -153,7 +153,7 @@ def encode_for(model: TaggerModel, sentences) -> list[tuple[np.ndarray, np.ndarr
     if model.vocab is not None:
         return encode_corpus(sentences, model.vocab, model.tags)
     expected = model.encoder.input_dim
-    # the loader keeps a file's dim uniform; a split may leave no sentences
+    # the loader keeps a file's dim uniform, so the first sentence speaks for all
     if sentences and sentences[0].vectors.shape[1] != expected:
         raise ConfigError(f"embedding file has dim {sentences[0].vectors.shape[1]} "
                           f"but the model takes emb_dim {expected}")
@@ -375,8 +375,8 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
             "epochs": config.epochs, "batch_size": config.batch_size,
             "emb_dim": config.emb_dim, "hidden_dim": config.hidden_dim,
             "embedding_mode": config.embedding_mode, "base_lr": config.base_lr,
-            "clip_norm": config.clip_norm, "seed": config.seed, "min_freq": min_freq,
-            "val_fraction": val_fraction,
+            "clip_norm": config.clip_norm, "seed": config.seed,
+            "min_freq": min_freq, "val_fraction": val_fraction,
         }
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.json"),
                         provenance=provenance)
