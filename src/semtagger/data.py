@@ -43,20 +43,14 @@ class Sentence:
 
 
 @dataclass
-class EmbeddedSentence:
-    tokens: list[str]
-    tags: list[str]
+class EmbeddedSentence(Sentence):
     vectors: np.ndarray  # (T, dim)
 
     def __post_init__(self):
+        super().__post_init__()
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if not self.tokens:
-            raise DimensionError("sentence must be nonempty")
-        if not (len(self.tokens) == len(self.tags) == self.vectors.shape[0]):
+        if self.vectors.shape[0] != len(self.tokens):
             raise DimensionError("tokens, tags and vectors must share one length")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass
@@ -96,37 +90,45 @@ def _lines(stream) -> Iterator[str]:
         yield raw.rstrip("\r\n")
 
 
+def _blocks(stream) -> Iterator[tuple[list[tuple[int, str]], int, bool]]:
+    """Yield (rows, end, at_eof) for each blank-line-separated block: rows are
+    its (line number, line) pairs minus '#' comment lines, and end is the
+    number of the blank line that closed it, or of the file's last line when
+    the end of the file did (at_eof)."""
+    rows: list[tuple[int, str]] = []
+    lineno = 0
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            if rows:
+                yield rows, lineno, False
+                rows = []
+        elif not line.startswith("#"):
+            rows.append((lineno, line))
+    if rows:
+        yield rows, lineno, True
+
+
+def _bad_row(lineno: int, line: str, width: int, shape: str):
+    """Raise the ParseError for a row that is not `width` TAB-separated fields
+    opening with a nonempty token and tag; `shape` opens the field-count one."""
+    if line.count("\t") != width - 1:
+        raise ParseError(f"{shape} {line!r}", line_number=lineno)
+    raise ParseError(f"empty token or tag field in {line!r}", line_number=lineno)
+
+
 def parse_corpus(text_stream: Iterable[str]) -> list[Sentence]:
     """Parse a two-column TSV stream into sentences, preserving file order."""
     sentences: list[Sentence] = []
-    tokens: list[str] = []
-    tags: list[str] = []
-
-    def flush():
-        if tokens:
-            sentences.append(Sentence(tokens=list(tokens), tags=list(tags)))
-            tokens.clear()
-            tags.clear()
-
-    for lineno, line in enumerate(_lines(text_stream), start=1):
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(
-                f"expected exactly one TAB in {line!r}", line_number=lineno
-            )
-        token, tag = fields
-        if not token or not tag:
-            raise ParseError(
-                f"empty token or tag field in {line!r}", line_number=lineno
-            )
-        tokens.append(token)
-        tags.append(tag)
-    flush()
+    for rows, _, _ in _blocks(text_stream):
+        tokens, tags = [], []
+        for lineno, line in rows:
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                _bad_row(lineno, line, 2, "expected exactly one TAB in")
+            tokens.append(fields[0])
+            tags.append(fields[1])
+        sentences.append(Sentence(tokens=tokens, tags=tags))
 
     if not sentences:
         raise EmptyCorpusError("corpus contains no sentences")
@@ -209,104 +211,59 @@ def split(sentences: list, val_fraction: float, seed: int) -> tuple[list, list]:
 def load_context_embeddings(text_stream: Iterable[str]) -> list[EmbeddedSentence]:
     """Parse a contextual-embedding file (see module docstring for the grammar)."""
     sentences: list[EmbeddedSentence] = []
-    file_dim: int | None = None
-
-    expect = "header"          # "header" | "row"
-    need_blank = False         # a blank separator is owed before the next header
-    remaining = 0
-    tokens: list[str] = []
-    tags: list[str] = []
-    vectors: list[np.ndarray] = []
-    cur_dim = 0
-
-    lineno = 0
-    for lineno, line in enumerate(_lines(text_stream), start=1):
-        if line.startswith("#"):
-            continue
-        blank = not line.strip()
-
-        if expect == "header":
-            if blank:
-                need_blank = False
-                continue
-            if need_blank:
-                raise ParseError(
-                    "expected a blank line between sentences", line_number=lineno
-                )
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(
-                    f"expected header '<num_tokens> <dim>', got {line!r}",
-                    line_number=lineno,
-                )
-            try:
-                remaining, cur_dim = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(
-                    f"non-integer sentence header {line!r}", line_number=lineno
-                ) from None
-            if remaining < 1 or cur_dim < 1:
-                raise ParseError(
-                    f"header counts must be positive, got {line!r}", line_number=lineno
-                )
-            if file_dim is None:
-                file_dim = cur_dim
-            elif cur_dim != file_dim:
-                raise ParseError(
-                    f"embedding dim {cur_dim} differs from earlier dim {file_dim}",
-                    line_number=lineno,
-                )
-            expect = "row"
-            continue
-
-        # expect == "row"
-        if blank:
+    for block, end, at_eof in _blocks(text_stream):
+        (lineno, line), rows = block[0], block[1:]
+        parts = line.split()
+        if len(parts) != 2:
             raise ParseError(
-                f"unexpected blank line: {remaining} token line(s) still expected",
+                f"expected header '<num_tokens> <dim>', got {line!r}",
                 line_number=lineno,
-            )
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                f"expected 'token<TAB>tag<TAB>values', got {line!r}",
-                line_number=lineno,
-            )
-        token, tag, value_str = fields
-        if not token or not tag:
-            raise ParseError(
-                f"empty token or tag field in {line!r}", line_number=lineno
             )
         try:
-            vec = np.array([float(v) for v in value_str.split()], dtype=np.float64)
+            count, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(
-                f"non-numeric vector component in {line!r}", line_number=lineno
+                f"non-integer sentence header {line!r}", line_number=lineno
             ) from None
-        if vec.shape[0] != cur_dim:
+        if count < 1 or dim < 1:
             raise ParseError(
-                f"vector has {vec.shape[0]} components, header declared {cur_dim}",
-                line_number=lineno,
+                f"header counts must be positive, got {line!r}", line_number=lineno
             )
-        tokens.append(token)
-        tags.append(tag)
-        vectors.append(vec)
-        remaining -= 1
-        if remaining == 0:
-            sentences.append(
-                EmbeddedSentence(tokens=list(tokens), tags=list(tags),
-                                 vectors=np.vstack(vectors))
-            )
-            tokens.clear()
-            tags.clear()
-            vectors.clear()
-            expect = "header"
-            need_blank = True
+        if sentences and dim != sentences[0].vectors.shape[1]:
+            raise ParseError(f"embedding dim {dim} differs from earlier dim "
+                             f"{sentences[0].vectors.shape[1]}", line_number=lineno)
 
-    if expect == "row":
-        raise ParseError(
-            f"file ended with {remaining} token line(s) still expected",
-            line_number=lineno,
-        )
+        tokens, tags, vectors = [], [], []
+        for lineno, line in rows[:count]:
+            fields = line.split("\t")
+            if len(fields) != 3 or not fields[0] or not fields[1]:
+                _bad_row(lineno, line, 3, "expected 'token<TAB>tag<TAB>values', got")
+            try:
+                vec = np.array([float(v) for v in fields[2].split()],
+                               dtype=np.float64)
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric vector component in {line!r}", line_number=lineno
+                ) from None
+            if vec.shape[0] != dim:
+                raise ParseError(
+                    f"vector has {vec.shape[0]} components, header declared {dim}",
+                    line_number=lineno,
+                )
+            tokens.append(fields[0])
+            tags.append(fields[1])
+            vectors.append(vec)
+        if len(rows) > count:
+            raise ParseError("expected a blank line between sentences",
+                             line_number=rows[count][0])
+        if len(rows) < count:
+            missing = "file ended with" if at_eof else "unexpected blank line:"
+            raise ParseError(
+                f"{missing} {count - len(rows)} token line(s) still expected",
+                line_number=end,
+            )
+        sentences.append(EmbeddedSentence(tokens, tags, np.vstack(vectors)))
+
     if not sentences:
         raise EmptyCorpusError("embedding file contains no sentences")
     return sentences
