@@ -11,12 +11,13 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, SemtaggerError
+from .errors import ConfigError, ParseError, SemtaggerError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, load_checkpoint, tag_tokens,
                     tag_vectors)
 from .trainer import (ExperimentConfig, encode_for, evaluate, evaluate_meta,
                       load_experiment_configs, run_experiment, experiment_grid)
-from .data import read_context_embeddings, read_corpus
+from .data import (Sentence, read_context_embeddings, read_corpus,
+                   serialize_corpus)
 
 logger = logging.getLogger("semtagger")
 
@@ -189,13 +190,11 @@ def cmd_tag(args) -> int:
                       else sys.stdin)
             blocks = ((tokens, tag_tokens(model, tokens))
                       for tokens in (line.split() for line in stream) if tokens)
-        first = True
-        for tokens, tags in blocks:
-            if not first:
-                out.write("\n")
-            for tok, tg in zip(tokens, tags):
-                out.write(f"{tok}\t{tg}\n")
-            first = False
+        for i, (tokens, tags) in enumerate(blocks):
+            out.write(("\n" if i else "") + serialize_corpus([Sentence(tokens, tags)]))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{args.input or 'stdin'} is not UTF-8 text ({exc.reason})") from None
     finally:
         if out is not sys.stdout:
             out.close()

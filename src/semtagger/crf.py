@@ -64,12 +64,12 @@ class CrfParams:
                 f"transitions must have shape {(k + 2, k + 2)}, "
                 f"got {self.transitions.shape}"
             )
+        if not np.all(np.isfinite(self.transitions)):
+            raise DivergenceError("transitions must be finite everywhere")
         if not np.all(self.transitions[:, self.start] == NEG_INF):
             raise ValueError("transitions into START must be NEG_INF")
         if not np.all(self.transitions[self.stop, :] == NEG_INF):
             raise ValueError("transitions out of STOP must be NEG_INF")
-        if not np.all(np.isfinite(self.transitions)):
-            raise DivergenceError("transitions must be finite everywhere")
 
     @property
     def start(self) -> int:

@@ -10,7 +10,11 @@ Contextual-embedding format (one file per corpus):
     lines of "token<TAB>tag<TAB>v1 v2 ... v_dim"; blank line(s) between
     sentences; '#' comment lines are allowed anywhere (useful for recording
     the provenance of the vectors). The vector dimension must be uniform
-    across the whole file.
+    across the whole file, and every component finite.
+
+Both serializers refuse a token or tag that would not read back as written:
+one that is blank, starts with '#', or holds a TAB, CR or LF. Files are
+UTF-8; any other byte is a ParseError naming the file.
 """
 
 from dataclasses import dataclass, field
@@ -135,17 +139,38 @@ def parse_corpus(text_stream: Iterable[str]) -> list[Sentence]:
     return sentences
 
 
+def _token_tag(token: str, tag: str) -> str:
+    """'token<TAB>tag' for a serializer, refusing a field that the parsers
+    would not read back as written."""
+    for text in (token, tag):
+        if (not text.strip() or text.startswith("#")
+                or "\t" in text or "\r" in text or "\n" in text):
+            raise DimensionError(
+                f"cannot write token or tag {text!r}: it is blank, starts "
+                "with '#' or holds a TAB, CR or LF")
+    return f"{token}\t{tag}"
+
+
 def serialize_corpus(sentences: Iterable[Sentence]) -> str:
     """Inverse of parse_corpus: blocks of token<TAB>tag lines, blank-line separated."""
     blocks = []
     for s in sentences:
-        blocks.append("\n".join(f"{tok}\t{tag}" for tok, tag in zip(s.tokens, s.tags)))
+        blocks.append("\n".join(_token_tag(tok, tag) for tok, tag in zip(s.tokens, s.tags)))
     return "\n\n".join(blocks) + "\n"
 
 
-def read_corpus(path) -> list[Sentence]:
+def _read(path, parse):
+    """parse() the file at path as UTF-8 text, naming the file when a byte
+    is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh)
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def read_corpus(path) -> list[Sentence]:
+    return _read(path, parse_corpus)
 
 
 def build_vocab(sentences, min_freq: int = 1) -> tuple[Vocab, TagSet]:
@@ -250,6 +275,10 @@ def load_context_embeddings(text_stream: Iterable[str]) -> list[EmbeddedSentence
                     f"vector has {vec.shape[0]} components, header declared {dim}",
                     line_number=lineno,
                 )
+            if not np.isfinite(vec).all():
+                raise ParseError(
+                    f"non-finite vector component in {line!r}", line_number=lineno
+                )
             tokens.append(fields[0])
             tags.append(fields[1])
             vectors.append(vec)
@@ -275,14 +304,14 @@ def serialize_context_embeddings(sentences: Iterable[EmbeddedSentence]) -> str:
     for s in sentences:
         lines = [f"{len(s)} {s.vectors.shape[1]}"]
         for tok, tag, vec in zip(s.tokens, s.tags, s.vectors):
-            lines.append(f"{tok}\t{tag}\t" + " ".join(repr(float(v)) for v in vec))
+            lines.append(_token_tag(tok, tag) + "\t"
+                         + " ".join(repr(float(v)) for v in vec))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 
 def read_context_embeddings(path) -> list[EmbeddedSentence]:
-    with open(path, encoding="utf-8") as fh:
-        return load_context_embeddings(fh)
+    return _read(path, load_context_embeddings)
 
 
 def load_meta_tags(text_stream: Iterable[str]) -> dict[str, str]:
@@ -298,3 +327,7 @@ def load_meta_tags(text_stream: Iterable[str]) -> dict[str, str]:
             )
         mapping[fields[0]] = fields[1]
     return mapping
+
+
+def read_meta_tags(path) -> dict[str, str]:
+    return _read(path, load_meta_tags)

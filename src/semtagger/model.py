@@ -122,6 +122,8 @@ def load_checkpoint(path) -> TaggerModel:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if not isinstance(manifest, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:

@@ -9,6 +9,7 @@ so a rerun with the same inputs reproduces the curves byte for byte.
 
 import configparser
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass, replace
@@ -16,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crf import init_crf_params, nll_and_grad, nll_loss, viterbi_decode
-from .data import (build_vocab, encode, encode_tags, load_meta_tags,
-                   read_context_embeddings, read_corpus, split)
+from .data import (build_vocab, encode, encode_tags, read_context_embeddings,
+                   read_corpus, read_meta_tags, split)
 from .encoder import backward, forward, init_external_params, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
@@ -57,10 +58,11 @@ class ExperimentConfig:
         if self.base_lr is None:
             self.base_lr = (DEFAULT_ADAM_LR if self.optimizer == "adam"
                             else DEFAULT_SGD_LR)
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ConfigError(
+                f"clip_norm must be positive and finite, got {self.clip_norm}")
 
 
 @dataclass
@@ -334,7 +336,8 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
                    out_dir=None) -> list[EpochMetrics]:
     """Load data per the config's embedding mode, train, and optionally write
     curves.csv plus checkpoint.json under out_dir."""
-    if config.embedding_mode == MODE_INTERNAL:
+    internal = config.embedding_mode == MODE_INTERNAL
+    if internal:
         if corpus is None:
             raise ConfigError("internal embedding mode requires a corpus")
         sentences = read_corpus(corpus)
@@ -342,7 +345,6 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
             train_s, val_s = sentences, read_corpus(val_corpus)
         else:
             train_s, val_s = split(sentences, val_fraction, config.seed)
-        vocab, _ = build_vocab(train_s, min_freq=min_freq)
     else:
         if embeddings is None:
             raise ConfigError("external embedding mode requires an embedding file")
@@ -351,17 +353,17 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
                               "external mode splits the embedding file")
         train_s, val_s = split(read_context_embeddings(embeddings),
                                val_fraction, config.seed)
-        vocab = None
-    if not val_s:  # only a split of a one-sentence file leaves it empty
-        source = corpus if config.embedding_mode == MODE_INTERNAL else embeddings
-        raise EmptyCorpusError(f"the validation split is empty: {source} holds "
-                               "one sentence, and a split needs at least two")
+    for side, part in (("training", train_s), ("validation", val_s)):
+        if not part:  # only a split of a one-sentence file leaves a side empty
+            raise EmptyCorpusError(
+                f"the {side} split is empty: {corpus if internal else embeddings} "
+                "holds one sentence, and a split needs at least two")
+    vocab = build_vocab(train_s, min_freq=min_freq)[0] if internal else None
     # close the tagset over train plus val so held-out gold tags encode
     _, tags = build_vocab(train_s + val_s)
 
     if meta_tags_path is not None:
-        with open(meta_tags_path, encoding="utf-8") as fh:
-            tags = replace(tags, meta_tags=load_meta_tags(fh))
+        tags = replace(tags, meta_tags=read_meta_tags(meta_tags_path))
 
     model = build_model(config, vocab, tags)
     history = fit(model, encode_for(model, train_s), encode_for(model, val_s),

@@ -390,3 +390,76 @@ def test_console_script_usage_paths():
     assert "train" in ok.stdout and "replicate" in ok.stdout
     bad = run("train")
     assert bad.returncode == 2
+
+
+def test_one_sentence_file_with_a_large_val_fraction_is_rejected(tmp_path,
+                                                                  capsys):
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("a\tX\nb\tY\n")
+    vectors = tmp_path / "one.txt"
+    vectors.write_text("2 3\na\tX\t1 2 3\nb\tY\t0 0 1\n")
+    for source in (["--corpus", str(corpus)],
+                   ["--embeddings", str(vectors), "--emb-dim", "3"]):
+        out = tmp_path / source[0].lstrip("-")
+        code = main(["train", *source, "--out", str(out), "--epochs", "2",
+                     "--hidden-dim", "2", "--val-fraction", "0.9"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: the training split is empty: {source[1]} "
+                       "holds one sentence, and a split needs at least two"]
+        assert not (out / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                         ("--clip-norm", "nan")])
+def test_non_finite_rates_exit_one(tmp_path, corpus_file, capsys, flag, value):
+    out = tmp_path / "run"
+    assert main(train_args(corpus_file, out, extra=[flag, value])) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "must be positive and finite" in err[0], err
+    assert not (out / "curves.csv").exists()
+
+
+def test_non_utf8_input_files_exit_one_naming_the_file(tmp_path, corpus_file,
+                                                       capsys):
+    out = tmp_path / "run"
+    assert main(train_args(corpus_file, out)) == 0
+    checkpoint = out / "checkpoint.json"
+    capsys.readouterr()
+
+    def bad(name, good_text):
+        path = tmp_path / name
+        path.write_bytes(good_text.encode() + b"tok\xff\tt0\n")
+        return path
+
+    corpus = bad("bad.tsv", "tok1\tt0\n\n")
+    meta = bad("meta.tsv", "t0\tEVEN\n")
+    raw = bad("raw.txt", "tok1 tok2\n")
+    vectors = bad("vectors.txt", "1 2\na\tX\t1 2\n\n")
+    broken_checkpoint = bad("checkpoint.json", "")
+    for path, argv in (
+            (corpus, train_args(corpus, tmp_path / "o1")),
+            (meta, train_args(corpus_file, tmp_path / "o2",
+                              extra=["--meta-tags", str(meta)])),
+            (vectors, ["train", "--embeddings", str(vectors), "--emb-dim", "2",
+                       "--out", str(tmp_path / "o3")]),
+            (raw, ["tag", "--checkpoint", str(checkpoint), "--input", str(raw)]),
+            (broken_checkpoint, ["eval", "--checkpoint", str(broken_checkpoint),
+                                 "--corpus", str(corpus_file)])):
+        assert main(argv) == 1, path
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path} is not UTF-8 text (invalid start byte)"]
+
+
+def test_tag_refuses_a_token_its_output_would_read_as_a_comment(
+        tmp_path, corpus_file, capsys):
+    out = tmp_path / "run"
+    main(train_args(corpus_file, out))
+    raw = tmp_path / "raw.txt"
+    raw.write_text("tok1 #tok2\n")
+    capsys.readouterr()
+    assert main(["tag", "--checkpoint", str(out / "checkpoint.json"),
+                 "--input", str(raw)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write token or "
+                                               "tag '#tok2'"), err

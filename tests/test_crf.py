@@ -292,3 +292,13 @@ def test_init_is_seeded_and_bounded():
     assert not np.array_equal(a.transitions, c.transitions)
     free = a.transitions[trans_mask(a)]
     assert np.all(np.abs(free) <= 0.1)
+
+
+def test_non_finite_transitions_are_divergence_before_sentinel_checks():
+    # a step that writes NaN everywhere also breaks the START/STOP sentinels;
+    # it must still read as divergence, not as a malformed matrix
+    for value in (np.nan, np.inf):
+        bad = zero_crf_params(3).transitions.copy()
+        bad[:, 3] = value
+        with pytest.raises(DivergenceError, match="transitions must be finite"):
+            CrfParams(num_tags=3, transitions=bad)

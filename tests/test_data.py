@@ -214,3 +214,22 @@ def test_sentence_invariants():
         Sentence([], [])
     with pytest.raises(DimensionError):
         EmbeddedSentence(["a"], ["X"], np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", ["#", "#tag", "", " ", "a\tb", "a\rb", "a\nb"])
+def test_serializers_refuse_tokens_and_tags_they_cannot_write(bad):
+    # a '#'-led token would be read back as a comment line and vanish
+    for tokens, tags in (([bad, "hash"], ["X", "Y"]), (["a", "b"], ["X", bad])):
+        with pytest.raises(DimensionError, match="cannot write"):
+            serialize_corpus([Sentence(tokens, tags)])
+        with pytest.raises(DimensionError, match="cannot write"):
+            serialize_context_embeddings(
+                [EmbeddedSentence(tokens, tags, np.zeros((2, 3)))])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_context_embeddings_reject_non_finite_components(value):
+    text = f"1 2\na\tX\t0.5 1\n\n1 2\nb\tY\t{value} 1\n"
+    with pytest.raises(ParseError, match="non-finite vector component") as err:
+        load_context_embeddings(io.StringIO(text))
+    assert err.value.line_number == 5

@@ -15,9 +15,10 @@ import numpy as np
 from hypothesis import HealthCheck, configuration, given, settings
 from hypothesis import strategies as st
 
-from semtagger import (EmbeddedSentence, Sentence, SemtaggerError,
-                       load_context_embeddings, load_meta_tags, parse_corpus,
-                       serialize_context_embeddings, serialize_corpus)
+from semtagger import (DimensionError, EmbeddedSentence, Sentence,
+                       SemtaggerError, load_context_embeddings, load_meta_tags,
+                       parse_corpus, serialize_context_embeddings,
+                       serialize_corpus)
 
 configuration.set_hypothesis_home_dir(
     os.path.join(tempfile.gettempdir(), ".hypothesis"))
@@ -89,6 +90,21 @@ def mutated(draw, text):
     return "\n".join(lines)
 
 
+# Any field at all, the ones the serializers must refuse included.
+ANY_FIELD = st.one_of(
+    st.text(st.characters(codec="utf-8"), max_size=4),
+    st.sampled_from(["#", "#x", " ", "\t", "a\tb", "x\r", "\n", "\x1c"]),
+)
+
+
+def _written(serialize, sentences):
+    """The serializer's text, or None when it refuses a token or tag."""
+    try:
+        return serialize(sentences)
+    except DimensionError:
+        return None
+
+
 def _survives(parse, text):
     """A parser given any text returns its result or raises a package error."""
     try:
@@ -112,6 +128,25 @@ def test_context_embeddings_round_trip(sentences):
     for orig, again in zip(sentences, back):
         assert (again.tokens, again.tags) == (orig.tokens, orig.tags)
         assert np.array_equal(again.vectors, orig.vectors)
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.tuples(ANY_FIELD, ANY_FIELD), min_size=1,
+                         max_size=4), min_size=1, max_size=3))
+def test_whatever_the_serializers_write_reads_back_exactly(blocks):
+    sentences = [Sentence([t for t, _ in rows], [g for _, g in rows])
+                 for rows in blocks]
+    corpus = _written(serialize_corpus, sentences)
+    if corpus is not None:
+        assert parse_corpus(io.StringIO(corpus)) == sentences
+    embedded = [EmbeddedSentence(s.tokens, s.tags, np.ones((len(s), 2)))
+                for s in sentences]
+    text = _written(serialize_context_embeddings, embedded)
+    assert (text is None) == (corpus is None)  # one rule for both formats
+    if text is not None:
+        back = load_context_embeddings(io.StringIO(text))
+        assert [(s.tokens, s.tags) for s in back] == [
+            (s.tokens, s.tags) for s in sentences]
 
 
 @PROPERTY

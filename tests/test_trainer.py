@@ -380,3 +380,23 @@ def test_metrics_are_dataclasses_with_expected_fields():
         __import__("semtagger").EpochMetrics)}
     assert fields == {"epoch", "train_loss", "train_acc", "val_loss",
                       "val_acc", "lr"}
+
+
+@pytest.mark.parametrize("field", ["base_lr", "clip_norm"])
+def test_experiment_config_rejects_non_finite_rates(field):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+            ExperimentConfig(**{field: value})
+
+
+def test_a_step_that_writes_nan_is_reported_as_divergence(monkeypatch):
+    config = ExperimentConfig(id=3, optimizer="sgd", emb_dim=4, hidden_dim=3,
+                              epochs=1, batch_size=2, seed=5)
+    model, data, _ = tiny_setup(n=5, config=config)
+    monkeypatch.setattr(trainer_module, "sgd_step", lambda params, grads, lr: {
+        k: np.full_like(v, np.nan) for k, v in params.items()})
+    with pytest.raises(DivergenceError) as err:
+        train_epoch(model, data, data, config, 0,
+                    init_optim_state("sgd", model.tensors()))
+    assert str(err.value) == ("experiment 3 diverged in epoch 0, batch step 1 "
+                              "of 3: transitions must be finite everywhere")
