@@ -13,8 +13,9 @@ Contextual-embedding format (one file per corpus):
     across the whole file, and every component finite.
 
 Both serializers refuse a token or tag that would not read back as written:
-one that is blank, starts with '#', or holds a TAB, CR or LF. Files are
-UTF-8; any other byte is a ParseError naming the file.
+one that is blank, starts with '#', or holds a TAB, CR or LF; the embedding
+serializer also refuses a non-finite component. Files are UTF-8; any other
+byte is a ParseError naming the file.
 """
 
 from dataclasses import dataclass, field
@@ -155,7 +156,8 @@ def serialize_corpus(sentences: Iterable[Sentence]) -> str:
     """Inverse of parse_corpus: blocks of token<TAB>tag lines, blank-line separated."""
     blocks = []
     for s in sentences:
-        blocks.append("\n".join(_token_tag(tok, tag) for tok, tag in zip(s.tokens, s.tags)))
+        blocks.append("\n".join(_token_tag(tok, tag)
+                                for tok, tag in zip(s.tokens, s.tags)))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -302,6 +304,8 @@ def serialize_context_embeddings(sentences: Iterable[EmbeddedSentence]) -> str:
     """Inverse of load_context_embeddings; float components round-trip exactly."""
     blocks = []
     for s in sentences:
+        if not np.isfinite(s.vectors).all():
+            raise DimensionError("cannot write a non-finite vector component")
         lines = [f"{len(s)} {s.vectors.shape[1]}"]
         for tok, tag, vec in zip(s.tokens, s.tags, s.vectors):
             lines.append(_token_tag(tok, tag) + "\t"

@@ -233,3 +233,6 @@ def test_context_embeddings_reject_non_finite_components(value):
     with pytest.raises(ParseError, match="non-finite vector component") as err:
         load_context_embeddings(io.StringIO(text))
     assert err.value.line_number == 5
+    with pytest.raises(DimensionError, match="non-finite vector component"):
+        serialize_context_embeddings(
+            [EmbeddedSentence(["b"], ["Y"], [[float(value), 1.0]])])
