@@ -9,6 +9,7 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 
 from .errors import ConfigError, ParseError, SemtaggerError
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--experiment", type=int,
                        help="pick a row from --config or the built-in grid")
     train.add_argument("--out", default=".",
-                       help="directory for curves.csv and checkpoint.json")
+                       help="directory for curves.csv and checkpoint.npz")
     train.set_defaults(func=cmd_train, parser=train)
 
     ev = sub.add_parser("eval", parents=[common],
@@ -150,7 +151,7 @@ def cmd_train(args) -> int:
     print(f"final epoch {last.epoch}: train_acc={last.train_acc:.6g} "
           f"val_acc={last.val_acc:.6g} val_loss={last.val_loss:.6g}")
     print(f"wrote {os.path.join(args.out, 'curves.csv')} and "
-          f"{os.path.join(args.out, 'checkpoint.json')}")
+          f"{os.path.join(args.out, 'checkpoint.npz')}")
     return 0
 
 
@@ -177,27 +178,26 @@ def cmd_eval(args) -> int:
 
 def cmd_tag(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
+    if model.mode == MODE_EXTERNAL and not args.embeddings:
+        args.parser.error("this checkpoint takes vector input; pass --embeddings")
+    with ExitStack() as files:
+        out = (files.enter_context(open(args.output, "w", encoding="utf-8"))
+               if args.output else sys.stdout)
         if model.mode == MODE_EXTERNAL:
-            if not args.embeddings:
-                args.parser.error(
-                    "this checkpoint takes vector input; pass --embeddings")
             blocks = ((s.tokens, tag_vectors(model, s.vectors))
                       for s in read_context_embeddings(args.embeddings))
         else:
-            stream = (open(args.input, encoding="utf-8") if args.input
-                      else sys.stdin)
+            stream = (files.enter_context(open(args.input, encoding="utf-8"))
+                      if args.input else sys.stdin)
             blocks = ((tokens, tag_tokens(model, tokens))
                       for tokens in (line.split() for line in stream) if tokens)
-        for i, (tokens, tags) in enumerate(blocks):
-            out.write(("\n" if i else "") + serialize_corpus([Sentence(tokens, tags)]))
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{args.input or 'stdin'} is not UTF-8 text ({exc.reason})") from None
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        try:
+            for i, (tokens, tags) in enumerate(blocks):
+                out.write(("\n" if i else "")
+                          + serialize_corpus([Sentence(tokens, tags)]))
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{args.input or 'stdin'} is not UTF-8 text ({exc.reason})") from None
     return 0
 
 

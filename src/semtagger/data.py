@@ -16,8 +16,13 @@ Both serializers refuse a token or tag that would not read back as written:
 one that is blank, starts with '#', or holds a TAB, CR or LF; the embedding
 serializer also refuses a non-finite component. Files are UTF-8; any other
 byte is a ParseError naming the file.
+
+Artifacts (curves, checkpoints) are written with ``write_atomically``, so a
+reader never finds a half-written one.
 """
 
+import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -169,6 +174,25 @@ def _read(path, parse):
             return parse(fh)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def write_atomically(path, write) -> None:
+    """Call ``write(fh)`` on a new binary file beside ``path``, then move it
+    over ``path`` with ``os.replace``.
+
+    A write that raises, or a process killed before the move, leaves ``path``
+    as it was; an exception also removes the temporary file. Nothing is
+    fsynced, so a power loss can still lose the new file or the old one.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_corpus(path) -> list[Sentence]:

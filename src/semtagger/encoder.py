@@ -25,7 +25,10 @@ from .errors import ConfigError, DimensionError, EmptySequenceError
 
 @dataclass
 class EncoderParams:
-    """All learned tensors of the encoder. ``embedding`` is None in vector mode."""
+    """All learned tensors of the encoder. ``embedding`` is None in vector mode.
+
+    Construction checks that the shapes agree with one another (the
+    DimensionError a damaged checkpoint ends in)."""
 
     embedding: np.ndarray | None   # (V, D)
     lstm_input_weights: np.ndarray  # (4H, D)
@@ -33,6 +36,22 @@ class EncoderParams:
     lstm_bias: np.ndarray           # (4H,)
     out_weights: np.ndarray         # (K, H)
     out_bias: np.ndarray            # (K,)
+
+    def __post_init__(self):
+        if self.lstm_input_weights.ndim != 2 or self.out_weights.ndim != 2:
+            raise DimensionError("lstm_input_weights and out_weights must be 2-D")
+        d = self.lstm_input_weights.shape[1]
+        k, h = self.out_weights.shape
+        expected = {"lstm_input_weights": (4 * h, d),
+                    "lstm_hidden_weights": (4 * h, h), "lstm_bias": (4 * h,),
+                    "out_bias": (k,)}
+        if self.embedding is not None:
+            expected["embedding"] = self.embedding.shape[:1] + (d,)
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise DimensionError(
+                    f"{name} has shape {getattr(self, name).shape}, "
+                    f"but D={d} K={k} H={h} need {shape}")
 
     @property
     def input_dim(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .crf import init_crf_params, nll_and_grad, nll_loss, viterbi_decode
 from .data import (build_vocab, encode, encode_tags, read_context_embeddings,
-                   read_corpus, read_meta_tags, split)
+                   read_corpus, read_meta_tags, split, write_atomically)
 from .encoder import backward, forward, init_external_params, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
@@ -306,15 +306,16 @@ def _fmt(x: float) -> str:
 
 def export_curves(history: list[EpochMetrics], path) -> None:
     """CSV with header epoch,train_loss,train_acc,val_loss,val_acc,lr; floats
-    at six significant digits; epochs 0-indexed to match the lr schedule."""
+    at six significant digits; epochs 0-indexed to match the lr schedule.
+    Written atomically (``write_atomically``)."""
     lines = ["epoch,train_loss,train_acc,val_loss,val_acc,lr"]
     for m in history:
         lines.append(",".join([
             str(m.epoch), _fmt(m.train_loss), _fmt(m.train_acc),
             _fmt(m.val_loss), _fmt(m.val_acc), _fmt(m.lr),
         ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_atomically(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def read_curves(path) -> list[EpochMetrics]:
@@ -335,7 +336,7 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
                    min_freq: int = 1, meta_tags_path=None,
                    out_dir=None) -> list[EpochMetrics]:
     """Load data per the config's embedding mode, train, and optionally write
-    curves.csv plus checkpoint.json under out_dir."""
+    curves.csv plus checkpoint.npz under out_dir."""
     internal = config.embedding_mode == MODE_INTERNAL
     if internal:
         if corpus is None:
@@ -380,6 +381,6 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
             "clip_norm": config.clip_norm, "seed": config.seed,
             "min_freq": min_freq, "val_fraction": val_fraction,
         }
-        save_checkpoint(model, os.path.join(out_dir, "checkpoint.json"),
+        save_checkpoint(model, os.path.join(out_dir, "checkpoint.npz"),
                         provenance=provenance)
     return history

@@ -43,9 +43,9 @@ def test_train_eval_tag_round_trip(tmp_path, corpus_file, capsys):
     stdout = capsys.readouterr().out
     assert "final epoch 1" in stdout
     assert (out / "curves.csv").exists()
-    assert (out / "checkpoint.json").exists()
+    assert (out / "checkpoint.npz").exists()
 
-    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
                  "--corpus", str(corpus_file)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("loss=")
@@ -56,7 +56,7 @@ def test_train_eval_tag_round_trip(tmp_path, corpus_file, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_text("tok1 tok2 tok3\n\ntok4 tok5\n")
     tagged = tmp_path / "tagged.tsv"
-    assert main(["tag", "--checkpoint", str(out / "checkpoint.json"),
+    assert main(["tag", "--checkpoint", str(out / "checkpoint.npz"),
                  "--input", str(raw), "--output", str(tagged)]) == 0
     blocks = tagged.read_text().strip().split("\n\n")
     assert len(blocks) == 2
@@ -71,7 +71,7 @@ def test_tag_reads_stdin_writes_stdout(tmp_path, corpus_file, capsys,
     main(train_args(corpus_file, out))
     capsys.readouterr()
     monkeypatch.setattr("sys.stdin", io.StringIO("tok1 tok9000\n"))
-    assert main(["tag", "--checkpoint", str(out / "checkpoint.json")]) == 0
+    assert main(["tag", "--checkpoint", str(out / "checkpoint.npz")]) == 0
     got = capsys.readouterr().out
     rows = [line.split("\t") for line in got.strip().splitlines()]
     assert [tok for tok, _ in rows] == ["tok1", "tok9000"]  # unknown word ok
@@ -83,7 +83,7 @@ def test_tag_empty_input_gives_empty_output(tmp_path, corpus_file, capsys,
     main(train_args(corpus_file, out))
     capsys.readouterr()
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    assert main(["tag", "--checkpoint", str(out / "checkpoint.json")]) == 0
+    assert main(["tag", "--checkpoint", str(out / "checkpoint.npz")]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -97,7 +97,7 @@ def test_tag_output_recount_matches_evaluate(tmp_path, corpus_file, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_text("".join(" ".join(s.tokens) + "\n" for s in gold))
     tagged = tmp_path / "tagged.tsv"
-    assert main(["tag", "--checkpoint", str(out / "checkpoint.json"),
+    assert main(["tag", "--checkpoint", str(out / "checkpoint.npz"),
                  "--input", str(raw), "--output", str(tagged)]) == 0
 
     predicted = read_corpus(tagged)
@@ -107,7 +107,7 @@ def test_tag_output_recount_matches_evaluate(tmp_path, corpus_file, capsys):
         matches += sum(p == g for p, g in zip(pred_sent.tags, gold_sent.tags))
         total += len(gold_sent.tags)
 
-    model = load_checkpoint(out / "checkpoint.json")
+    model = load_checkpoint(out / "checkpoint.npz")
     data = encode_corpus(gold, model.vocab, model.tags)
     _, accuracy = evaluate(model, data)
     assert matches / total == accuracy
@@ -180,7 +180,7 @@ def test_eval_with_unseen_tag_exits_one(tmp_path, corpus_file, capsys):
     main(train_args(corpus_file, out))
     gold = tmp_path / "gold.tsv"
     gold.write_text("tok1\tBRAND-NEW\n")
-    code = main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+    code = main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
                  "--corpus", str(gold)])
     assert code == 1
     assert "BRAND-NEW" in capsys.readouterr().err
@@ -190,7 +190,7 @@ def test_eval_input_kind_mismatch_is_usage_error(tmp_path, corpus_file):
     out = tmp_path / "run"
     main(train_args(corpus_file, out))
     with pytest.raises(SystemExit) as err:
-        main(["eval", "--checkpoint", str(out / "checkpoint.json")])
+        main(["eval", "--checkpoint", str(out / "checkpoint.npz")])
     assert err.value.code == 2
 
 
@@ -238,18 +238,18 @@ def test_external_train_eval_tag(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
 
-    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
                  "--embeddings", str(emb)]) == 0
     assert "accuracy=" in capsys.readouterr().out
 
-    assert main(["tag", "--checkpoint", str(out / "checkpoint.json"),
+    assert main(["tag", "--checkpoint", str(out / "checkpoint.npz"),
                  "--embeddings", str(emb)]) == 0
     tagged = capsys.readouterr().out
     assert tagged.count("\t") > 0
 
     other = tmp_path / "dim5"
     other.mkdir()
-    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
                  "--embeddings", str(external_fixture(other, dim=5))]) == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
@@ -286,7 +286,7 @@ def test_replicate_with_custom_config(tmp_path, corpus_file, capsys):
     stdout = capsys.readouterr().out
     assert "experiment 1:" in stdout and "experiment 2:" in stdout
     assert (out / "experiment1" / "curves.csv").exists()
-    assert (out / "experiment2" / "checkpoint.json").exists()
+    assert (out / "experiment2" / "checkpoint.npz").exists()
 
 
 def test_replicate_subset_selection(tmp_path, corpus_file, capsys):
@@ -324,7 +324,7 @@ def test_meta_tags_flow_through_training(tmp_path, corpus_file, capsys):
     code = main(train_args(corpus_file, out, extra=["--meta-tags", str(meta)]))
     assert code == 0
     capsys.readouterr()
-    main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+    main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
           "--corpus", str(corpus_file)])
     stdout = capsys.readouterr().out
     assert "meta_accuracy=" in stdout
@@ -424,7 +424,7 @@ def test_non_utf8_input_files_exit_one_naming_the_file(tmp_path, corpus_file,
                                                        capsys):
     out = tmp_path / "run"
     assert main(train_args(corpus_file, out)) == 0
-    checkpoint = out / "checkpoint.json"
+    checkpoint = out / "checkpoint.npz"
     capsys.readouterr()
 
     def bad(name, good_text):
@@ -436,19 +436,23 @@ def test_non_utf8_input_files_exit_one_naming_the_file(tmp_path, corpus_file,
     meta = bad("meta.tsv", "t0\tEVEN\n")
     raw = bad("raw.txt", "tok1 tok2\n")
     vectors = bad("vectors.txt", "1 2\na\tX\t1 2\n\n")
-    broken_checkpoint = bad("checkpoint.json", "")
-    for path, argv in (
-            (corpus, train_args(corpus, tmp_path / "o1")),
+    broken_checkpoint = bad("checkpoint.npz", "")
+    not_utf8 = "is not UTF-8 text (invalid start byte)"
+    for path, argv, problem in (
+            (corpus, train_args(corpus, tmp_path / "o1"), not_utf8),
             (meta, train_args(corpus_file, tmp_path / "o2",
-                              extra=["--meta-tags", str(meta)])),
+                              extra=["--meta-tags", str(meta)]), not_utf8),
             (vectors, ["train", "--embeddings", str(vectors), "--emb-dim", "2",
-                       "--out", str(tmp_path / "o3")]),
-            (raw, ["tag", "--checkpoint", str(checkpoint), "--input", str(raw)]),
+                       "--out", str(tmp_path / "o3")], not_utf8),
+            (raw, ["tag", "--checkpoint", str(checkpoint), "--input", str(raw)],
+             not_utf8),
+            # a checkpoint is binary: the same bytes are not an archive
             (broken_checkpoint, ["eval", "--checkpoint", str(broken_checkpoint),
-                                 "--corpus", str(corpus_file)])):
+                                 "--corpus", str(corpus_file)],
+             "is not a checkpoint archive (no zip header)")):
         assert main(argv) == 1, path
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {path} is not UTF-8 text (invalid start byte)"]
+        assert err == [f"error: {path} {problem}"]
 
 
 def test_tag_refuses_a_token_its_output_would_read_as_a_comment(
@@ -458,8 +462,24 @@ def test_tag_refuses_a_token_its_output_would_read_as_a_comment(
     raw = tmp_path / "raw.txt"
     raw.write_text("tok1 #tok2\n")
     capsys.readouterr()
-    assert main(["tag", "--checkpoint", str(out / "checkpoint.json"),
+    assert main(["tag", "--checkpoint", str(out / "checkpoint.npz"),
                  "--input", str(raw)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write token or "
                                                "tag '#tok2'"), err
+
+
+def test_tag_closes_its_input_and_output_files(tmp_path, corpus_file, capsys):
+    out = tmp_path / "run"
+    assert main(train_args(corpus_file, out)) == 0
+    raw = tmp_path / "raw.txt"
+    raw.write_text("tok1 tok2\ntok3\n")
+    tagged = tmp_path / "tagged.tsv"
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+         "semtagger.cli", "tag", "--checkpoint", str(out / "checkpoint.npz"),
+         "--input", str(raw), "--output", str(tagged)],
+        capture_output=True, text=True, env=package_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert len(read_corpus(tagged)) == 2

@@ -33,7 +33,7 @@ def make_external_model(seed=0):
 
 def test_checkpoint_round_trip_internal(tmp_path):
     model = make_internal_model()
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.npz"
     save_checkpoint(model, path, provenance={"note": "unit test"})
     back = load_checkpoint(path)
     assert back.mode == MODE_INTERNAL
@@ -46,7 +46,7 @@ def test_checkpoint_round_trip_internal(tmp_path):
 
 def test_checkpoint_round_trip_external(tmp_path):
     model = make_external_model()
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.npz"
     save_checkpoint(model, path)
     back = load_checkpoint(path)
     assert back.mode == MODE_EXTERNAL
@@ -58,51 +58,67 @@ def test_checkpoint_round_trip_external(tmp_path):
 
 def test_round_trip_preserves_predictions(tmp_path):
     model = make_internal_model(seed=3)
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.npz"
     save_checkpoint(model, path)
     back = load_checkpoint(path)
     sentence = ["the", "dog", "barks", "loudly"]
     assert tag_tokens(back, sentence) == tag_tokens(model, sentence)
 
 
-def _manifest(tmp_path, mutate):
+def _archive(tmp_path, mutate):
+    """A saved checkpoint whose manifest and tensors ``mutate(m, t)`` edited."""
     model = make_internal_model()
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.npz"
     save_checkpoint(model, path)
-    manifest = json.loads(path.read_text())
-    mutate(manifest)
-    path.write_text(json.dumps(manifest))
+    with np.load(path) as archive:
+        manifest = json.loads(archive["manifest"].tobytes())
+        tensors = {name: archive[name] for name in archive.files
+                   if name != "manifest"}
+    mutate(manifest, tensors)
+    raw = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, manifest=raw, **tensors)
     return path
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda m: m.update(format="something-else"),
-    lambda m: m.update(version=99),
-    lambda m: m.update(mode="quantum"),
-    lambda m: m.update(tags=[]),
-    lambda m: m.update(vocab=None),
-    lambda m: m["vocab"].__setitem__(0, "not-unk"),
-    lambda m: m["tensors"].pop("crf_transitions"),
-    lambda m: m["tensors"]["lstm_bias"].update(shape=[7]),
-    lambda m: m["tensors"]["embedding"]["data"].pop(),
-    lambda m: m.update(meta_tags=[["CON", "ENT"]]),
-    lambda m: m["tensors"]["embedding"]["data"].__setitem__(0, float("nan")),
+    lambda m, t: m.update(format="something-else"),
+    lambda m, t: m.update(version=99),
+    lambda m, t: m.update(mode="quantum"),
+    lambda m, t: m.update(tags=[]),
+    lambda m, t: m.update(vocab=None),
+    lambda m, t: m["vocab"].__setitem__(0, "not-unk"),
+    lambda m, t: t.pop("crf_transitions"),
+    lambda m, t: t.update(lstm_bias=t["lstm_bias"][:7]),
+    lambda m, t: t.update(embedding=t["embedding"].ravel()[:-1]),
+    lambda m, t: m.update(meta_tags=[["CON", "ENT"]]),
+    lambda m, t: t["embedding"].__setitem__((0, 0), float("nan")),
+    lambda m, t: m["tags"].__setitem__(0, [0]),
+    lambda m, t: m["vocab"].__setitem__(1, ["the"]),
+    lambda m, t: m["tags"].__setitem__(1, "CON"),
+    lambda m, t: m["vocab"].__setitem__(2, "the"),
+    lambda m, t: m.update(meta_tags={"CON": 1}),
+    lambda m, t: t.update(out_bias=t["out_bias"].astype(np.float32)),
+    lambda m, t: t.update(out_bias=t["out_bias"].astype(np.int64)),
+    lambda m, t: t.update(extra=np.zeros(2)),
+    lambda m, t: t.update(out_bias=np.array([None] * 3, dtype=object)),
 ], ids=["format", "version", "mode", "no-tags", "no-vocab", "unk-missing",
         "missing-tensor", "bad-shape", "truncated-data", "meta-tags-list",
-        "non-finite-tensor"])
+        "non-finite-tensor", "list-in-tags", "list-in-vocab", "duplicate-tag",
+        "duplicate-token", "meta-tag-not-string", "float32-tensor",
+        "int64-tensor", "extra-member", "pickled-tensor"])
 def test_checkpoint_rejects_tampering(tmp_path, mutate):
-    path = _manifest(tmp_path, mutate)
+    path = _archive(tmp_path, mutate)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_broken_sentinels(tmp_path):
-    def mutate(m):
-        entry = m["tensors"]["crf_transitions"]
-        k2 = entry["shape"][0]
-        entry["data"][3] = 0.0  # cell [0, start] must stay at the sentinel
-        assert k2 == 5
-    path = _manifest(tmp_path, mutate)
+    def mutate(m, t):
+        transitions = t["crf_transitions"]
+        assert transitions.shape == (5, 5)
+        transitions[0, 3] = 0.0  # cell [0, start] must stay at the sentinel
+    path = _archive(tmp_path, mutate)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -112,6 +128,58 @@ def test_checkpoint_rejects_non_json(tmp_path):
     path.write_text("definitely not json{")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_version_1_json_checkpoint(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({"format": "semtagger-checkpoint", "version": 1,
+                                "mode": MODE_INTERNAL, "tensors": {}}))
+    with pytest.raises(CheckpointError,
+                       match=f"{path} is a version-1 JSON checkpoint"):
+        load_checkpoint(path)
+
+
+def _flip(data: bytes, i: int) -> bytes:
+    return data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda b: b[:4], lambda b: b[:30], lambda b: b[:1000], lambda b: b[:-1],
+    # the low bytes of the end record's central-directory offset: zipfile
+    # then seeks before the start of the file, an OSError
+    lambda b: _flip(b, len(b) - 6), lambda b: _flip(b, len(b) - 5),
+], ids=["truncated-4", "truncated-30", "truncated-1000", "truncated-1",
+        "cd-offset-6", "cd-offset-5"])
+def test_checkpoint_rejects_a_damaged_archive(tmp_path, damage):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(make_internal_model(), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CheckpointError, match="damaged archive"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_npy_file(tmp_path):
+    path = tmp_path / "ck.npz"
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    with pytest.raises(CheckpointError, match="no zip header"):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(make_internal_model(seed=1), path)
+    before = path.read_bytes()
+
+    def fail_midway(file, **members):
+        file.write(b"PK\x03\x04 half an archive")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", fail_midway)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(make_internal_model(seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
 
 
 def test_model_consistency_validation():

@@ -1,6 +1,7 @@
 """Training loop semantics, experiment grid, config files, and curve export."""
 
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from semtagger import (ConfigError, EmptyCorpusError, ExperimentConfig,
                        train_epoch, load_checkpoint)
 from semtagger.data import EmbeddedSentence, Sentence
 from semtagger.model import MODE_EXTERNAL, MODE_INTERNAL
+from semtagger import data as data_module
 from semtagger import trainer as trainer_module
 from semtagger.errors import DivergenceError
 from semtagger.optim import init_optim_state
@@ -280,6 +282,26 @@ def test_export_and_read_curves_round_trip(tmp_path):
         assert parsed.lr == pytest.approx(orig.lr, rel=1e-5)
 
 
+def test_export_curves_failing_midway_keeps_the_previous_file(tmp_path,
+                                                              monkeypatch):
+    model, data, config = tiny_setup()
+    history = fit(model, data[:9], data[9:], config)
+    path = tmp_path / "curves.csv"
+    export_curves(history[:1], path)
+    before = path.read_bytes()
+
+    class HalfWriter(io.FileIO):
+        def write(self, b):
+            super().write(b[:len(b) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(data_module, "open", HalfWriter, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        export_curves(history, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
+
+
 def test_run_experiment_internal_writes_artifacts(tmp_path):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text(serialize_corpus(
@@ -290,7 +312,7 @@ def test_run_experiment_internal_writes_artifacts(tmp_path):
     history = run_experiment(config, corpus=corpus, out_dir=out)
     assert len(history) == 2
     assert (out / "curves.csv").exists()
-    model = load_checkpoint(out / "checkpoint.json")
+    model = load_checkpoint(out / "checkpoint.npz")
     assert model.mode == MODE_INTERNAL
     assert read_curves(out / "curves.csv")[-1].epoch == 1
 
@@ -304,7 +326,8 @@ def test_run_experiment_provenance_records_every_setting(tmp_path):
                               clip_norm=0.75)
     run_experiment(config, corpus=corpus, out_dir=tmp_path, min_freq=2,
                    val_fraction=0.25)
-    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    with np.load(tmp_path / "checkpoint.npz") as archive:
+        manifest = json.loads(archive["manifest"].tobytes())
     assert manifest["provenance"] == {
         "experiment": 3, "optimizer": "sgd", "epochs": 1, "batch_size": 4,
         "emb_dim": 5, "hidden_dim": 4, "embedding_mode": MODE_INTERNAL,
@@ -331,7 +354,7 @@ def test_run_experiment_external_mode(tmp_path):
     out = tmp_path / "ext"
     history = run_experiment(config, embeddings=emb_file, out_dir=out)
     assert len(history) == 2
-    model = load_checkpoint(out / "checkpoint.json")
+    model = load_checkpoint(out / "checkpoint.npz")
     assert model.mode == MODE_EXTERNAL and model.vocab is None
 
 
