@@ -1,16 +1,16 @@
 """semtagger: an LSTM-CRF semantic tagger built on numpy.
 
-The pieces compose bottom-up: `crf` holds the linear-chain CRF layer
-(forward/backward, marginals, analytic NLL gradients, Viterbi), `encoder` the
-unidirectional LSTM with manual backpropagation, `optim` SGD/Adam plus the
-step-decay schedule, `data` the TSV corpus and contextual-embedding loaders,
-`trainer` the seeded training loop and experiment grid, and `cli` the
-command line front end.
+The pieces compose bottom-up: `crf` holds the linear-chain CRF layer (log Z,
+the NLL and its analytic gradient from one forward-backward pass, Viterbi),
+`encoder` the unidirectional LSTM with manual backpropagation, `optim`
+SGD/Adam plus the step-decay schedule, `data` the TSV corpus and
+contextual-embedding loaders, `trainer` the seeded training loop and
+experiment grid, and `cli` the command line front end.
 """
 
 from .crf import (CrfGradients, CrfParams, NEG_INF, init_crf_params,
-                  log_partition, marginals, nll_and_grad, nll_grad, nll_loss,
-                  score_path, viterbi_decode, zero_crf_params)
+                  log_partition, nll_and_grad, nll_loss, score_path,
+                  viterbi_decode)
 from .data import (EmbeddedSentence, Sentence, TagSet, UNK_ID, UNK_TOKEN,
                    Vocab, build_vocab, encode, encode_tags,
                    load_context_embeddings, load_meta_tags, parse_corpus,

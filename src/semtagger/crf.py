@@ -88,20 +88,12 @@ class CrfGradients:
     d_emissions: np.ndarray    # (T, K)
 
 
-def init_crf_params(num_tags: int, seed: int = 0, scale: float = 0.1) -> CrfParams:
-    """Fresh transition matrix: uniform(-scale, scale), sentinels applied."""
+def init_crf_params(num_tags: int, seed: int = 0) -> CrfParams:
+    """Fresh transition matrix: uniform(-0.1, 0.1), sentinels applied."""
     rng = np.random.default_rng(seed)
-    trans = rng.uniform(-scale, scale, size=(num_tags + 2, num_tags + 2))
+    trans = rng.uniform(-0.1, 0.1, size=(num_tags + 2, num_tags + 2))
     trans[:, num_tags] = NEG_INF       # nothing enters START
     trans[num_tags + 1, :] = NEG_INF   # nothing leaves STOP
-    return CrfParams(num_tags=num_tags, transitions=trans)
-
-
-def zero_crf_params(num_tags: int) -> CrfParams:
-    """All-zero transitions (uniform path scores), sentinels applied."""
-    trans = np.zeros((num_tags + 2, num_tags + 2))
-    trans[:, num_tags] = NEG_INF
-    trans[num_tags + 1, :] = NEG_INF
     return CrfParams(num_tags=num_tags, transitions=trans)
 
 
@@ -237,23 +229,6 @@ def nll_loss(params: CrfParams, emissions: np.ndarray, gold) -> float:
     return log_partition(params, emissions) - score_path(params, emissions, gold)
 
 
-def marginals(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior tag probabilities from the forward-backward pass.
-
-    Returns ``(unary, pairwise)`` where ``unary[t, k] = P(y_t = k | x)``
-    (shape ``(T, K)``, rows sum to 1) and
-    ``pairwise[t, i, j] = P(y_t = i, y_{t+1} = j | x)`` (shape ``(T-1, K, K)``).
-    """
-    emissions = _check_emissions(params, emissions)
-    k = emissions.shape[1]
-    alpha, log_z = _forward(params, emissions)
-    beta = _backward(params, emissions)
-    right = emissions[1:] + beta[1:]
-    pairwise = np.exp(alpha[:-1, :, None] + params.transitions[:k, :k]
-                      + right[:, None, :] - log_z)
-    return np.exp(alpha + beta - log_z), pairwise
-
-
 def nll_and_grad(params: CrfParams, emissions: np.ndarray,
                  gold) -> tuple[float, CrfGradients]:
     """``nll_loss`` and its analytic gradient from one forward-backward pass.
@@ -284,11 +259,6 @@ def nll_and_grad(params: CrfParams, emissions: np.ndarray,
     return loss, CrfGradients(d_transitions=d_trans, d_emissions=unary)
 
 
-def nll_grad(params: CrfParams, emissions: np.ndarray, gold) -> CrfGradients:
-    """Analytic gradient of ``nll_loss``; see ``nll_and_grad``."""
-    return nll_and_grad(params, emissions, gold)[1]
-
-
 def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:
     """Highest-scoring tag path and its score, by max-plus dynamic programming.
 
@@ -313,4 +283,4 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray
     path[-1] = int(final.argmax())
     for t in range(big_t - 1, 0, -1):
         path[t - 1] = bp[t, path[t]]
-    return path, score_path(params, emissions, path)
+    return path, _score_path(params, emissions, path)

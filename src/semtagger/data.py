@@ -95,11 +95,6 @@ class TagSet:
             raise UnknownTagError(tag) from None
 
 
-def _lines(stream) -> Iterator[str]:
-    for raw in stream:
-        yield raw.rstrip("\r\n")
-
-
 def _blocks(stream) -> Iterator[tuple[list[tuple[int, str]], int, bool]]:
     """Yield (rows, end, at_eof) for each blank-line-separated block: rows are
     its (line number, line) pairs minus '#' comment lines, and end is the
@@ -345,15 +340,13 @@ def read_context_embeddings(path) -> list[EmbeddedSentence]:
 def load_meta_tags(text_stream: Iterable[str]) -> dict[str, str]:
     """Optional 'semtag<TAB>meta-tag' map; same comment/blank-line rules as TSV."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(_lines(text_stream), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(
-                f"expected 'semtag<TAB>meta-tag', got {line!r}", line_number=lineno
-            )
-        mapping[fields[0]] = fields[1]
+    for rows, _, _ in _blocks(text_stream):
+        for lineno, line in rows:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"expected 'semtag<TAB>meta-tag', got {line!r}",
+                                 line_number=lineno)
+            mapping[fields[0]] = fields[1]
     return mapping
 
 

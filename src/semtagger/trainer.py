@@ -200,7 +200,10 @@ def _step(model, sums, count, config, opt_state, lr):
     return opt_state
 
 
-def _eval_totals(model, data):
+def evaluate(model: TaggerModel, data) -> tuple[float, float]:
+    """(mean per-sentence NLL, Viterbi token accuracy) without touching params."""
+    if not data:
+        raise EmptyCorpusError("cannot evaluate on zero sentences")
     loss_sum, correct, tokens = 0.0, 0, 0
     for inputs, gold in data:
         emissions, _ = forward(model.encoder, inputs)
@@ -208,14 +211,6 @@ def _eval_totals(model, data):
         path, _ = viterbi_decode(model.crf, emissions)
         correct += int(np.sum(path == gold))
         tokens += gold.shape[0]
-    return loss_sum, correct, tokens
-
-
-def evaluate(model: TaggerModel, data) -> tuple[float, float]:
-    """(mean per-sentence NLL, Viterbi token accuracy) without touching params."""
-    if not data:
-        raise EmptyCorpusError("cannot evaluate on zero sentences")
-    loss_sum, correct, tokens = _eval_totals(model, data)
     return loss_sum / len(data), correct / tokens
 
 

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 from scipy.special import logsumexp
 
-from semtagger import Sentence
+from semtagger import Sentence, nll_and_grad
 from semtagger.crf import NEG_INF, CrfParams
 
 
@@ -68,6 +68,21 @@ def brute_marginals(params: CrfParams, emissions: np.ndarray):
     return unary, pairwise
 
 
+def gradient_posteriors(params: CrfParams, emissions: np.ndarray, gold):
+    """``(unary, pair_counts)`` read off ``nll_and_grad``, for comparison with
+    ``brute_marginals``. The gradient is expected minus observed counts, so
+    adding the gold path back gives ``unary[t, k] = P(y_t = k | x)`` and
+    ``pair_counts[i, j] = sum_t P(y_t = i, y_{t+1} = j | x)``."""
+    gold = np.asarray(gold, dtype=np.intp)
+    _, grads = nll_and_grad(params, emissions, gold)
+    k = params.num_tags
+    unary = grads.d_emissions.copy()
+    unary[np.arange(len(gold)), gold] += 1.0
+    pair_counts = grads.d_transitions[:k, :k].copy()
+    np.add.at(pair_counts, (gold[:-1], gold[1:]), 1.0)
+    return unary, pair_counts
+
+
 def fd_grad(f, x: np.ndarray, step: float, mask: np.ndarray | None = None):
     """Central-difference gradient of the scalar f() with respect to x.
 
@@ -97,6 +112,14 @@ def trans_mask(params: CrfParams) -> np.ndarray:
     mask[:, params.start] = False
     mask[params.stop, :] = False
     return mask
+
+
+def zero_transition_params(num_tags: int) -> CrfParams:
+    """All-zero real-tag and boundary transitions (uniform path scores)."""
+    trans = np.zeros((num_tags + 2, num_tags + 2))
+    trans[:, num_tags] = NEG_INF      # nothing enters START
+    trans[num_tags + 1, :] = NEG_INF  # nothing leaves STOP
+    return CrfParams(num_tags=num_tags, transitions=trans)
 
 
 def random_crf_instance(rng: np.random.Generator, num_tags: int, length: int,

@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 
 from helpers import (brute_log_partition, brute_marginals, brute_viterbi,
-                     fd_grad, make_toy_corpus, random_crf_instance, rel_err,
-                     trans_mask, type_vectors)
+                     fd_grad, gradient_posteriors, make_toy_corpus,
+                     random_crf_instance, rel_err, trans_mask, type_vectors)
 from semtagger import (ExperimentConfig, backward, build_model, build_vocab,
                        encode_corpus, encode_embedded, fit, forward,
-                       init_crf_params, init_params, log_partition, marginals,
-                       nll_grad, nll_loss, run_experiment, serialize_corpus,
-                       split, experiment_grid, viterbi_decode)
+                       init_crf_params, init_params, log_partition,
+                       nll_and_grad, nll_loss, run_experiment,
+                       serialize_corpus, split, experiment_grid,
+                       viterbi_decode)
 from semtagger.cli import main
 from semtagger.data import EmbeddedSentence
 
@@ -45,7 +46,7 @@ def test_criterion_1_crf_oracle_equivalence():
     for i in range(500):
         k = 1 + i % 4          # K in 1..4
         big_t = 1 + (i // 4) % 6  # T in 1..6, every (K, T) combo covered
-        params, emissions, _ = random_crf_instance(rng, k, big_t)
+        params, emissions, gold = random_crf_instance(rng, k, big_t)
 
         fast = log_partition(params, emissions)
         slow = brute_log_partition(params, emissions)
@@ -56,12 +57,10 @@ def test_criterion_1_crf_oracle_equivalence():
         assert np.array_equal(path, slow_path), (i, path, slow_path)
         worst_score = max(worst_score, abs(score - slow_score))
 
-        unary, pairwise = marginals(params, emissions)
+        unary, pair_counts = gradient_posteriors(params, emissions, gold)
         slow_u, slow_p = brute_marginals(params, emissions)
-        worst_marg = max(worst_marg, float(np.max(np.abs(unary - slow_u))))
-        if big_t > 1:
-            worst_marg = max(worst_marg,
-                             float(np.max(np.abs(pairwise - slow_p))))
+        worst_marg = max(worst_marg, float(np.max(np.abs(unary - slow_u))),
+                         float(np.max(np.abs(pair_counts - slow_p.sum(axis=0)))))
     runtime = time.perf_counter() - t0
     ok = (worst_logz <= 1e-8 and worst_score <= 1e-8
           and worst_marg <= 1e-8 and runtime < 10.0)
@@ -82,7 +81,7 @@ def _crf_fd_suite(rng, n):
         k = 2 + i % 3
         big_t = 1 + i % 6
         params, emissions, gold = random_crf_instance(rng, k, big_t)
-        grads = nll_grad(params, emissions, gold)
+        _, grads = nll_and_grad(params, emissions, gold)
         f = lambda: nll_loss(params, emissions, gold)
         worst = max(worst, rel_err(grads.d_transitions,
                                    fd_grad(f, params.transitions, 1e-6,
@@ -128,7 +127,7 @@ def _end_to_end_fd_suite(rng, n):
             return nll_loss(crf, emissions, gold)
 
         emissions, tape = forward(encoder, ids)
-        crf_grads = nll_grad(crf, emissions, gold)
+        _, crf_grads = nll_and_grad(crf, emissions, gold)
         enc_grads = backward(encoder, tape, crf_grads.d_emissions)
 
         worst = max(worst, rel_err(crf_grads.d_transitions,

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import (brute_log_partition, brute_marginals, brute_viterbi,
-                     fd_grad, random_crf_instance, rel_err, trans_mask)
+                     fd_grad, gradient_posteriors, random_crf_instance,
+                     rel_err, trans_mask, zero_transition_params)
 from semtagger import (DimensionError, DivergenceError, EmptySequenceError,
-                       init_crf_params, log_partition, marginals, nll_and_grad,
-                       nll_grad, nll_loss, score_path, viterbi_decode,
-                       zero_crf_params)
+                       init_crf_params, log_partition, nll_and_grad, nll_loss,
+                       score_path, viterbi_decode)
 from semtagger.crf import NEG_INF, CrfParams
 
 # Real-tag transition blocks far outside what exp() can represent: the scaled
@@ -94,43 +94,37 @@ def test_marginals_match_enumeration(strict_fp):
             k = int(rng.integers(1, 5))
             big_t = int(rng.integers(1, 7))
             params, emissions, gold = random_crf_instance(rng, k, big_t, block)
-            unary, pairwise = marginals(params, emissions)
+            unary, pair_counts = gradient_posteriors(params, emissions, gold)
             slow_u, slow_p = brute_marginals(params, emissions)
             assert np.max(np.abs(unary - slow_u)) <= 1e-8
-            if big_t > 1:
-                assert np.max(np.abs(pairwise - slow_p)) <= 1e-8
-            # the gradient's expected transition counts are the summed pairs
-            d_trans = nll_grad(params, emissions, gold).d_transitions
-            observed = np.zeros((k, k))
-            np.add.at(observed, (gold[:-1], gold[1:]), 1.0)
-            assert np.max(np.abs(d_trans[:k, :k] + observed
-                                 - slow_p.sum(axis=0))) <= 1e-8
+            # the expected transition counts are the pairs summed over steps
+            assert np.max(np.abs(pair_counts - slow_p.sum(axis=0))) <= 1e-8
 
 
 def test_marginals_are_distributions():
     rng = np.random.default_rng(3)
-    params, emissions, _ = random_crf_instance(rng, 4, 6)
-    unary, pairwise = marginals(params, emissions)
+    params, emissions, gold = random_crf_instance(rng, 4, 6)
+    unary, pair_counts = gradient_posteriors(params, emissions, gold)
     assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(unary >= 0)
-    # pairwise rows/cols must be consistent with the unaries
-    assert np.allclose(pairwise.sum(axis=2), unary[:-1], atol=1e-10)
-    assert np.allclose(pairwise.sum(axis=1), unary[1:], atol=1e-10)
+    # summed over steps, the pair counts' rows/cols match the unaries
+    assert np.allclose(pair_counts.sum(axis=1), unary[:-1].sum(axis=0), atol=1e-10)
+    assert np.allclose(pair_counts.sum(axis=0), unary[1:].sum(axis=0), atol=1e-10)
 
 
 def test_zero_transitions_factorize_to_softmax():
     # with all-zero transitions the chain decouples: unary marginals are
     # per-position softmaxes of the emissions
     rng = np.random.default_rng(4)
-    params = zero_crf_params(3)
+    params = zero_transition_params(3)
     emissions = rng.normal(size=(5, 3))
-    unary, _ = marginals(params, emissions)
+    unary, _ = gradient_posteriors(params, emissions, [0, 1, 2, 0, 1])
     want = np.exp(emissions)
     want /= want.sum(axis=1, keepdims=True)
     assert np.allclose(unary, want, atol=1e-12)
 
 
-def _check_grads_against_finite_differences(grad_fn):
+def test_nll_and_grad_matches_finite_differences(strict_fp):
     # K >= 2: with a single tag the loss is identically zero and relative
     # error against finite-difference noise is undefined (see the K=1 test)
     rng = np.random.default_rng(6)
@@ -139,26 +133,14 @@ def _check_grads_against_finite_differences(grad_fn):
             k = int(rng.integers(2, 5))
             big_t = int(rng.integers(1, 6))
             params, emissions, gold = random_crf_instance(rng, k, big_t, block)
-            grads = grad_fn(params, emissions, gold)
+            loss, grads = nll_and_grad(params, emissions, gold)
+            assert abs(loss - nll_loss(params, emissions, gold)) <= 1e-12
 
             f = lambda: nll_loss(params, emissions, gold)
             fd_t = fd_grad(f, params.transitions, 1e-6, mask=trans_mask(params))
             fd_e = fd_grad(f, emissions, 1e-6)
             assert rel_err(grads.d_transitions, fd_t) <= 1e-5, block
             assert rel_err(grads.d_emissions, fd_e) <= 1e-5, block
-
-
-def test_nll_grad_matches_finite_differences(strict_fp):
-    _check_grads_against_finite_differences(nll_grad)
-
-
-def test_nll_and_grad_matches_finite_differences(strict_fp):
-    def grads_checking_loss(params, emissions, gold):
-        loss, grads = nll_and_grad(params, emissions, gold)
-        assert abs(loss - nll_loss(params, emissions, gold)) <= 1e-12
-        return grads
-
-    _check_grads_against_finite_differences(grads_checking_loss)
 
 
 def test_single_tag_loss_and_grad_are_zero():
@@ -168,7 +150,7 @@ def test_single_tag_loss_and_grad_are_zero():
     params, emissions, _ = random_crf_instance(rng, 1, 4)
     gold = np.zeros(4, dtype=np.intp)
     assert abs(nll_loss(params, emissions, gold)) <= 1e-10
-    grads = nll_grad(params, emissions, gold)
+    _, grads = nll_and_grad(params, emissions, gold)
     assert np.max(np.abs(grads.d_emissions)) <= 1e-12
     assert np.max(np.abs(grads.d_transitions)) <= 1e-12
 
@@ -176,7 +158,7 @@ def test_single_tag_loss_and_grad_are_zero():
 def test_grad_vanishes_at_sentinel_cells():
     rng = np.random.default_rng(7)
     params, emissions, gold = random_crf_instance(rng, 3, 4)
-    d_trans = nll_grad(params, emissions, gold).d_transitions
+    d_trans = nll_and_grad(params, emissions, gold)[1].d_transitions
     assert np.all(d_trans[:, params.start] == 0.0)
     assert np.all(d_trans[params.stop, :] == 0.0)
 
@@ -184,8 +166,8 @@ def test_grad_vanishes_at_sentinel_cells():
 def test_grad_boundary_rows_carry_start_stop_terms():
     rng = np.random.default_rng(8)
     params, emissions, gold = random_crf_instance(rng, 3, 5)
-    unary, _ = marginals(params, emissions)
-    d_trans = nll_grad(params, emissions, gold).d_transitions
+    unary, _ = brute_marginals(params, emissions)
+    d_trans = nll_and_grad(params, emissions, gold)[1].d_transitions
     want_start = unary[0].copy()
     want_start[gold[0]] -= 1.0
     want_stop = unary[-1].copy()
@@ -216,7 +198,7 @@ def test_viterbi_score_is_score_of_returned_path():
 def test_viterbi_tie_breaks_to_lowest_index():
     # fully degenerate instance: every path scores 0, so the winner must be
     # the all-zeros path
-    params = zero_crf_params(3)
+    params = zero_transition_params(3)
     emissions = np.zeros((4, 3))
     path, score = viterbi_decode(params, emissions)
     assert path.tolist() == [0, 0, 0, 0]
@@ -246,10 +228,10 @@ def test_non_finite_scores_raise_divergence_error():
     params = init_crf_params(3, seed=0)
     emissions = np.zeros((2, 3))
     emissions[1, 2] = np.nan
-    for fn in (log_partition, viterbi_decode, marginals):
+    for fn in (log_partition, viterbi_decode):
         with pytest.raises(DivergenceError, match="emissions must be finite"):
             fn(params, emissions)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="emissions must be finite"):
         nll_and_grad(params, emissions, [0, 1])
     bad = params.transitions.copy()
     bad[1, 2] = -np.inf
@@ -277,7 +259,7 @@ def test_params_sentinel_validation():
     trans[:, 3 - 1] = NEG_INF
     with pytest.raises(DimensionError):
         CrfParams(num_tags=3, transitions=trans)  # wrong shape
-    ok = zero_crf_params(3)
+    ok = zero_transition_params(3)
     bad = ok.transitions.copy()
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
@@ -298,7 +280,7 @@ def test_non_finite_transitions_are_divergence_before_sentinel_checks():
     # a step that writes NaN everywhere also breaks the START/STOP sentinels;
     # it must still read as divergence, not as a malformed matrix
     for value in (np.nan, np.inf):
-        bad = zero_crf_params(3).transitions.copy()
+        bad = zero_transition_params(3).transitions.copy()
         bad[:, 3] = value
         with pytest.raises(DivergenceError, match="transitions must be finite"):
             CrfParams(num_tags=3, transitions=bad)

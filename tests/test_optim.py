@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import zero_transition_params
 from semtagger import (ConfigError, DimensionError, adam_step, clip_grads,
                        init_optim_state, lr_at, sgd_step)
-from semtagger.crf import NEG_INF, zero_crf_params
+from semtagger.crf import NEG_INF
 
 
 def small_params(seed=0):
@@ -81,7 +82,7 @@ def test_adam_state_is_functional():
 def test_zero_grad_cells_stay_put_under_both_optimizers():
     # the CRF sentinel cells always receive gradient 0 and must remain
     # exactly at the sentinel value under either update rule
-    crf = zero_crf_params(3)
+    crf = zero_transition_params(3)
     params = {"t": crf.transitions.copy()}
     grads = {"t": np.zeros_like(crf.transitions)}
     grads["t"][0, 0] = 0.5  # some real cell moves
