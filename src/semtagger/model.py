@@ -158,9 +158,9 @@ def _check_magic(head: bytes, path) -> None:
     raise CheckpointError(f"{path} is not a checkpoint archive (no zip header)")
 
 
-def _model(archive, path) -> TaggerModel:
+def _model(archive) -> TaggerModel:
     if MANIFEST not in archive.files:
-        raise CheckpointError(f"{path} holds no {MANIFEST!r} member")
+        raise CheckpointError(f"the archive holds no {MANIFEST!r} member")
     # save writes stored members; refusing any other keeps zipfile's
     # decompressors and password path (and their error types) out of reach
     for info in archive.zip.infolist():
@@ -216,7 +216,7 @@ def _model(archive, path) -> TaggerModel:
 
 def load_checkpoint(path) -> TaggerModel:
     """Read a checkpoint written by ``save_checkpoint``; anything else, a
-    damaged archive included, is a CheckpointError."""
+    damaged archive included, is a CheckpointError that names ``path``."""
     # np.load gets an open file, not the path: given a path, it leaks the
     # file it opened when the zip directory cannot be read
     with open(path, "rb") as fh:
@@ -224,9 +224,9 @@ def load_checkpoint(path) -> TaggerModel:
         fh.seek(0)
         try:
             with np.load(fh, allow_pickle=False) as archive:
-                return _model(archive, path)
-        except CheckpointError:
-            raise
+                return _model(archive)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         except (OSError, EOFError, NotImplementedError, ValueError,
                 zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path} is a damaged archive: {exc}") from None

@@ -247,20 +247,24 @@ def train_epoch(model: TaggerModel, train_data, val_data,
     size = config.batch_size
     batches = -(-len(order) // size)
     sums = {k: np.zeros_like(v) for k, v in model.tensors().items()}
+    # A diverging run overflows on its way to a non-finite score. The
+    # finiteness checks on emissions and transitions turn that into one
+    # DivergenceError, so numpy's warnings would only repeat it.
     try:
-        for step in range(batches):
-            batch = order[step * size:(step + 1) * size]
-            for i in batch:
-                inputs, gold = train_data[i]
-                _, grads = sentence_loss_and_grads(model, inputs, gold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(batches):
+                batch = order[step * size:(step + 1) * size]
+                for i in batch:
+                    inputs, gold = train_data[i]
+                    _, grads = sentence_loss_and_grads(model, inputs, gold)
+                    for key in sums:
+                        sums[key] += grads[key]
+                opt_state = _step(model, sums, len(batch), config, opt_state, lr)
                 for key in sums:
-                    sums[key] += grads[key]
-            opt_state = _step(model, sums, len(batch), config, opt_state, lr)
-            for key in sums:
-                sums[key].fill(0.0)
-        step = batches  # past the last batch: evaluating
-        train_loss, train_acc = evaluate(model, train_data)
-        val_loss, val_acc = evaluate(model, val_data)
+                    sums[key].fill(0.0)
+            step = batches  # past the last batch: evaluating
+            train_loss, train_acc = evaluate(model, train_data)
+            val_loss, val_acc = evaluate(model, val_data)
     except DivergenceError as exc:
         where = (f"batch step {step + 1} of {batches}" if step < batches
                  else "the end-of-epoch evaluation")
@@ -362,11 +366,12 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
         tags = replace(tags, meta_tags=read_meta_tags(meta_tags_path))
 
     model = build_model(config, vocab, tags)
-    history = fit(model, encode_for(model, train_s), encode_for(model, val_s),
-                  config)
+    train_data, val_data = encode_for(model, train_s), encode_for(model, val_s)
+    if out_dir is not None:  # before training, so a bad --out costs no epoch
+        os.makedirs(out_dir, exist_ok=True)
+    history = fit(model, train_data, val_data, config)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         export_curves(history, os.path.join(out_dir, "curves.csv"))
         provenance = {
             "experiment": config.id, "optimizer": config.optimizer,

@@ -1,6 +1,7 @@
 """Command line behavior: workflows, outputs, and exit codes."""
 
 import io
+import logging
 import os
 import subprocess
 import sys
@@ -344,8 +345,7 @@ def package_env() -> dict[str, str]:
     return env
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_exits_one_naming_the_epoch(tmp_path, corpus_file, capsys):
     out = tmp_path / "run"
     assert main(train_args(corpus_file, out, extra=["--lr", "1e300"])) == 1
@@ -355,6 +355,19 @@ def test_divergence_exits_one_naming_the_epoch(tmp_path, corpus_file, capsys):
     assert "diverged in epoch 0" in errors[0] and "batch step" in errors[0]
     assert "Traceback" not in err
     assert not (out / "curves.csv").exists()
+
+
+def test_unusable_out_directory_fails_before_training(tmp_path, corpus_file,
+                                                      capsys, caplog):
+    caplog.set_level(logging.INFO, logger="semtagger")
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(train_args(corpus_file, blocker / "sub")) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert "Traceback" not in err
+    assert not [r for r in caplog.records if " epoch " in r.getMessage()]
 
 
 def test_cli_import_does_not_load_scipy():

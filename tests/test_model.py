@@ -109,8 +109,9 @@ def _archive(tmp_path, mutate):
         "int64-tensor", "extra-member", "pickled-tensor"])
 def test_checkpoint_rejects_tampering(tmp_path, mutate):
     path = _archive(tmp_path, mutate)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
+    assert str(err.value).count(str(path)) == 1, err.value
 
 
 def test_checkpoint_rejects_broken_sentinels(tmp_path):
@@ -119,8 +120,9 @@ def test_checkpoint_rejects_broken_sentinels(tmp_path):
         assert transitions.shape == (5, 5)
         transitions[0, 3] = 0.0  # cell [0, start] must stay at the sentinel
     path = _archive(tmp_path, mutate)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="inconsistent tensors") as err:
         load_checkpoint(path)
+    assert str(err.value).count(str(path)) == 1, err.value
 
 
 def test_checkpoint_rejects_non_json(tmp_path):

@@ -226,12 +226,17 @@ def _saved(model, provenance=None) -> bytes:
 
 
 def _loaded(data: bytes):
-    """load_checkpoint on a file holding ``data``."""
+    """load_checkpoint on a file holding ``data``; a CheckpointError must name
+    the file, once."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ck.npz")
         with open(path, "wb") as fh:
             fh.write(data)
-        return load_checkpoint(path)
+        try:
+            return load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).count(path) == 1, exc
+            raise
 
 
 def _rewritten(data: bytes, mutate) -> bytes:
