@@ -17,7 +17,7 @@ from .data import (EmbeddedSentence, Sentence, TagSet, UNK_ID, UNK_TOKEN,
                    read_context_embeddings, read_corpus,
                    serialize_context_embeddings, serialize_corpus, split)
 from .encoder import (EncoderParams, EncoderTape, backward, forward,
-                      init_external_params, init_params)
+                      init_params)
 from .errors import (CheckpointError, ConfigError, DimensionError,
                      DivergenceError, EmptyCorpusError, EmptySequenceError,
                      ParseError, SemtaggerError, UnknownTagError)

@@ -169,30 +169,26 @@ def _log_matvec(v: np.ndarray, trans: np.ndarray, scaled: np.ndarray,
     return out
 
 
+def _sweep(first: np.ndarray, emissions: np.ndarray,
+           trans: np.ndarray) -> np.ndarray:
+    """Rows of the log-space recursion ``rows[t, j] = log sum_i exp(rows[t-1, i]
+    + emissions[t-1, i] + trans[i, j])`` from ``rows[0] = first``: each row is
+    stored before its own step's emission is added."""
+    scaled, shift = _scaled(trans)
+    rows = np.empty(emissions.shape)
+    rows[0] = first
+    for t in range(1, len(rows)):
+        rows[t] = _log_matvec(rows[t - 1] + emissions[t - 1], trans, scaled, shift)
+    return rows
+
+
 def _forward(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:
     """``(alpha, log Z)``: ``alpha[t, k]`` is the log sum over prefixes ending
     in tag ``k`` at time ``t``."""
-    big_t, k = emissions.shape
-    trans = params.transitions[:k, :k]
-    scaled, shift = _scaled(trans)
-    alpha = np.empty((big_t, k))
-    alpha[0] = params.transitions[params.start, :k] + emissions[0]
-    for t in range(1, big_t):
-        alpha[t] = _log_matvec(alpha[t - 1], trans, scaled, shift) + emissions[t]
+    k = params.num_tags
+    alpha = _sweep(params.transitions[params.start, :k], emissions,
+                   params.transitions[:k, :k]) + emissions
     return alpha, float(_logsumexp(alpha[-1] + params.transitions[:k, params.stop]))
-
-
-def _backward(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
-    """beta[t, k] = log sum over suffixes given tag k at time t (excl. emission
-    at t): the forward step through the transposed transition matrix."""
-    big_t, k = emissions.shape
-    trans = params.transitions[:k, :k].T
-    scaled, shift = _scaled(trans)
-    beta = np.empty((big_t, k))
-    beta[-1] = params.transitions[:k, params.stop]
-    for t in range(big_t - 2, -1, -1):
-        beta[t] = _log_matvec(emissions[t + 1] + beta[t + 1], trans, scaled, shift)
-    return beta
 
 
 def _expected_transitions(trans: np.ndarray, alpha: np.ndarray, right: np.ndarray,
@@ -241,7 +237,10 @@ def nll_and_grad(params: CrfParams, emissions: np.ndarray,
     gold = _check_path(params, emissions, gold)
     big_t, k = emissions.shape
     alpha, log_z = _forward(params, emissions)
-    beta = _backward(params, emissions)
+    # beta[t, k]: log sum over suffixes given tag k at time t, excluding the
+    # emission at t; the forward sweep run right to left through trans.T
+    beta = _sweep(params.transitions[:k, params.stop], emissions[::-1],
+                  params.transitions[:k, :k].T)[::-1]
     unary = np.exp(alpha + beta - log_z)
 
     d_trans = np.zeros_like(params.transitions)

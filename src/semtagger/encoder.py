@@ -107,41 +107,26 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_lstm_stack(rng, input_dim: int, hidden_dim: int, num_tags: int):
+def init_params(vocab_size: int | None, emb_dim: int, hidden_dim: int,
+                num_tags: int, seed: int) -> EncoderParams:
+    """Seeded Glorot-uniform initialization. ``vocab_size`` None means vector
+    mode: no embedding table, and ``emb_dim`` is the input vectors' dim."""
+    for name, dim in (("vocab_size", vocab_size), ("emb_dim", emb_dim),
+                      ("hidden_dim", hidden_dim), ("num_tags", num_tags)):
+        if dim is not None and dim < 1:
+            raise ConfigError(f"{name} must be >= 1, got {dim}")
+    rng = np.random.default_rng(seed)
+    # a seed fixes the draw order: table, input, recurrent, then output weights
+    embedding = (None if vocab_size is None
+                 else _glorot(rng, vocab_size, emb_dim, (vocab_size, emb_dim)))
     # Gate blocks get per-block Glorot limits; the four blocks of each stacked
     # matrix share one fan pair, so a single draw covers them.
-    w_x = _glorot(rng, input_dim, hidden_dim, (4 * hidden_dim, input_dim))
+    w_x = _glorot(rng, emb_dim, hidden_dim, (4 * hidden_dim, emb_dim))
     w_h = _glorot(rng, hidden_dim, hidden_dim, (4 * hidden_dim, hidden_dim))
     bias = np.zeros(4 * hidden_dim)
     bias[hidden_dim:2 * hidden_dim] = 1.0  # forget gate starts open
     out_w = _glorot(rng, hidden_dim, num_tags, (num_tags, hidden_dim))
-    out_b = np.zeros(num_tags)
-    return w_x, w_h, bias, out_w, out_b
-
-
-def init_params(vocab_size: int, emb_dim: int, hidden_dim: int, num_tags: int,
-                seed: int) -> EncoderParams:
-    """Seeded Glorot-uniform initialization for token mode (learned embedding)."""
-    for name, dim in (("vocab_size", vocab_size), ("emb_dim", emb_dim),
-                      ("hidden_dim", hidden_dim), ("num_tags", num_tags)):
-        if dim < 1:
-            raise ConfigError(f"{name} must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    embedding = _glorot(rng, vocab_size, emb_dim, (vocab_size, emb_dim))
-    w_x, w_h, bias, out_w, out_b = _init_lstm_stack(rng, emb_dim, hidden_dim, num_tags)
-    return EncoderParams(embedding, w_x, w_h, bias, out_w, out_b)
-
-
-def init_external_params(input_dim: int, hidden_dim: int, num_tags: int,
-                         seed: int) -> EncoderParams:
-    """Initialization for vector mode: no embedding table, inputs arrive as vectors."""
-    for name, dim in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
-                      ("num_tags", num_tags)):
-        if dim < 1:
-            raise ConfigError(f"{name} must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    w_x, w_h, bias, out_w, out_b = _init_lstm_stack(rng, input_dim, hidden_dim, num_tags)
-    return EncoderParams(None, w_x, w_h, bias, out_w, out_b)
+    return EncoderParams(embedding, w_x, w_h, bias, out_w, np.zeros(num_tags))
 
 
 def _resolve_inputs(params: EncoderParams, tokens) -> tuple[np.ndarray, np.ndarray | None]:

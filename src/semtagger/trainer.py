@@ -19,7 +19,7 @@ import numpy as np
 from .crf import init_crf_params, nll_and_grad, nll_loss, viterbi_decode
 from .data import (build_vocab, encode, encode_tags, read_context_embeddings,
                    read_corpus, read_meta_tags, split, write_atomically)
-from .encoder import backward, forward, init_external_params, init_params
+from .encoder import backward, forward, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
                     save_checkpoint)
@@ -163,14 +163,10 @@ def encode_for(model: TaggerModel, sentences) -> list[tuple[np.ndarray, np.ndarr
 
 
 def build_model(config: ExperimentConfig, vocab, tags) -> TaggerModel:
-    """Fresh, seeded parameters for the given experiment configuration."""
-    if config.embedding_mode == MODE_INTERNAL:
-        encoder = init_params(len(vocab), config.emb_dim, config.hidden_dim,
-                              len(tags), seed=config.seed)
-    else:
-        encoder = init_external_params(config.emb_dim, config.hidden_dim,
-                                       len(tags), seed=config.seed)
-        vocab = None
+    """Fresh, seeded parameters for the given experiment configuration; vocab
+    is None for a configuration in vector mode."""
+    encoder = init_params(None if vocab is None else len(vocab), config.emb_dim,
+                          config.hidden_dim, len(tags), seed=config.seed)
     # offset so the CRF draws from a stream distinct from the encoder's
     crf = init_crf_params(len(tags), seed=config.seed + 1)
     return TaggerModel(encoder=encoder, crf=crf, tags=tags, vocab=vocab)

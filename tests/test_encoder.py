@@ -7,7 +7,7 @@ import pytest
 
 from helpers import fd_grad, rel_err
 from semtagger import (ConfigError, DimensionError, EmptySequenceError,
-                       backward, forward, init_external_params, init_params)
+                       backward, forward, init_params)
 from semtagger.encoder import EncoderParams
 
 
@@ -52,7 +52,7 @@ def test_init_rejects_bad_dims():
     with pytest.raises(ConfigError):
         init_params(7, 4, 5, 0, seed=0)
     with pytest.raises(ConfigError):
-        init_external_params(0, 5, 3, seed=0)
+        init_params(None, 0, 5, 3, seed=0)
 
 
 def test_zero_weights_fixed_point():
@@ -148,10 +148,10 @@ def test_backward_matches_finite_differences_token_mode():
 def test_backward_matches_finite_differences_vector_mode():
     rng = np.random.default_rng(21)
     for trial in range(3):
-        params = init_external_params(input_dim=int(rng.integers(2, 5)),
-                                      hidden_dim=int(rng.integers(2, 6)),
-                                      num_tags=int(rng.integers(2, 4)),
-                                      seed=200 + trial)
+        params = init_params(None, emb_dim=int(rng.integers(2, 5)),
+                             hidden_dim=int(rng.integers(2, 6)),
+                             num_tags=int(rng.integers(2, 4)),
+                             seed=200 + trial)
         length = int(rng.integers(1, 6))
         vectors = rng.normal(size=(length, params.input_dim))
         _fd_check_params(params, vectors, seed=50 + trial)
@@ -197,7 +197,7 @@ def test_input_validation_errors():
         forward(params, np.zeros((2, 4)))  # wrong vector dim
     with pytest.raises(DimensionError):
         forward(params, np.zeros(3))  # 1-D floats are neither ids nor vectors
-    ext = init_external_params(3, 4, 2, seed=0)
+    ext = init_params(None, 3, 4, 2, seed=0)
     with pytest.raises(DimensionError):
         forward(ext, np.array([0, 1]))  # ids without an embedding table
 

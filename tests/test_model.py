@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semtagger import (CheckpointError, TagSet, TaggerModel, Vocab,
-                       init_crf_params, init_external_params, init_params,
+                       init_crf_params, init_params,
                        load_checkpoint, save_checkpoint, tag_tokens,
                        tag_vectors)
 from semtagger.model import MODE_EXTERNAL, MODE_INTERNAL, predicted_tags
@@ -26,7 +26,7 @@ def make_internal_model(seed=0):
 def make_external_model(seed=0):
     tags = ["A", "B"]
     tagset = TagSet({t: i for i, t in enumerate(tags)}, tags)
-    encoder = init_external_params(6, 4, len(tags), seed=seed)
+    encoder = init_params(None, 6, 4, len(tags), seed=seed)
     crf = init_crf_params(len(tags), seed=seed + 1)
     return TaggerModel(encoder=encoder, crf=crf, tags=tagset, vocab=None)
 

@@ -23,8 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from semtagger import (NEG_INF, UNK_TOKEN, CheckpointError, DimensionError,
                        EmbeddedSentence, Sentence, SemtaggerError, TagSet,
-                       TaggerModel, Vocab, init_crf_params,
-                       init_external_params, init_params,
+                       TaggerModel, Vocab, init_crf_params, init_params,
                        load_checkpoint, load_context_embeddings,
                        load_meta_tags, parse_corpus,
                        save_checkpoint, serialize_context_embeddings,
@@ -206,7 +205,7 @@ def models(draw):
         vocab = Vocab({t: i for i, t in enumerate(tokens)}, tokens)
         encoder = init_params(len(tokens), dim, hidden, len(tags), seed=0)
     else:
-        vocab, encoder = None, init_external_params(dim, hidden, len(tags), 0)
+        vocab, encoder = None, init_params(None, dim, hidden, len(tags), 0)
     model = TaggerModel(encoder, init_crf_params(len(tags)), tagset, vocab)
     finite = st.floats(allow_nan=False, allow_infinity=False)
     tensors = {name: draw(arrays(np.float64, arr.shape, elements=finite))
