@@ -212,6 +212,9 @@ def cmd_replicate(args) -> int:
             ids = [int(x) for x in args.experiments.split(",") if x.strip()]
         except ValueError:
             args.parser.error(f"bad --experiments value {args.experiments!r}")
+        if not ids or len(set(ids)) != len(ids):
+            args.parser.error("--experiments must list at least one id, each "
+                              f"once; got {args.experiments!r}")
         missing = [n for n in ids if n not in grid]
         if missing:
             args.parser.error(f"unknown experiment ids {missing}; "

@@ -338,13 +338,16 @@ def read_context_embeddings(path) -> list[EmbeddedSentence]:
 
 
 def load_meta_tags(text_stream: Iterable[str]) -> dict[str, str]:
-    """Optional 'semtag<TAB>meta-tag' map; same comment/blank-line rules as TSV."""
+    """Optional 'semtag<TAB>meta-tag' map; same comment/blank-line rules as
+    TSV. Each semtag is mapped once, and neither field may be empty."""
     mapping: dict[str, str] = {}
     for rows, _, _ in _blocks(text_stream):
         for lineno, line in rows:
             fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"expected 'semtag<TAB>meta-tag', got {line!r}",
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                _bad_row(lineno, line, 2, "expected 'semtag<TAB>meta-tag', got")
+            if fields[0] in mapping:
+                raise ParseError(f"semtag {fields[0]!r} is mapped twice",
                                  line_number=lineno)
             mapping[fields[0]] = fields[1]
     return mapping

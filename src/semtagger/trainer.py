@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crf import init_crf_params, nll_and_grad, nll_loss, viterbi_decode
-from .data import (build_vocab, encode, encode_tags, read_context_embeddings,
-                   read_corpus, read_meta_tags, split, write_atomically)
+from .data import (_read, build_vocab, encode, encode_tags,
+                   read_context_embeddings, read_corpus, read_meta_tags, split,
+                   write_atomically)
 from .encoder import backward, forward, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
@@ -110,22 +111,26 @@ def load_experiment_configs(path) -> dict[int, ExperimentConfig]:
     """Read '[experiment N]' sections from an INI file into configs.
 
     Keys omitted from a section fall back to the ExperimentConfig defaults;
-    unknown keys and malformed values are config errors.
+    unknown keys, malformed values and repeated ids are config errors.
     """
     parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ConfigError(f"bad config file {path}: {exc}") from None
+    try:
+        _read(path, parser.read_file)
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from None
 
     configs: dict[int, ExperimentConfig] = {}
+    sections: dict[int, str] = {}
     for section in parser.sections():
         match = re.fullmatch(r"experiment\s+(\d+)", section.strip())
         if not match:
             raise ConfigError(f"unexpected section [{section}]; "
                               "sections must be named 'experiment N'")
         exp_id = int(match.group(1))
+        if exp_id in sections:
+            raise ConfigError(f"sections [{sections[exp_id]}] and [{section}] "
+                              f"both name experiment {exp_id}")
+        sections[exp_id] = section
         kwargs = {"id": exp_id}
         for key, raw in parser[section].items():
             if key not in _CONFIG_KEYS:

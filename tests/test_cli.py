@@ -311,11 +311,16 @@ def test_replicate_explicit_external_without_embeddings_errors(
     assert err.value.code == 2
 
 
-def test_replicate_unknown_id_is_usage_error(tmp_path, corpus_file):
+@pytest.mark.parametrize("experiments", ["1,42", "", " , ", "1,1", "2,02"],
+                         ids=["unknown", "empty", "blank", "repeated",
+                              "repeated-padded"])
+def test_replicate_unknown_id_is_usage_error(tmp_path, corpus_file,
+                                             experiments):
     with pytest.raises(SystemExit) as err:
         main(["replicate", "--corpus", str(corpus_file),
-              "--experiments", "1,42", "--out", str(tmp_path / "rep")])
+              "--experiments", experiments, "--out", str(tmp_path / "rep")])
     assert err.value.code == 2
+    assert not (tmp_path / "rep").exists()
 
 
 def test_meta_tags_flow_through_training(tmp_path, corpus_file, capsys):
@@ -449,6 +454,7 @@ def test_non_utf8_input_files_exit_one_naming_the_file(tmp_path, corpus_file,
     meta = bad("meta.tsv", "t0\tEVEN\n")
     raw = bad("raw.txt", "tok1 tok2\n")
     vectors = bad("vectors.txt", "1 2\na\tX\t1 2\n\n")
+    ini = bad("bad.ini", "[experiment 1]\nepochs = 1\n")
     broken_checkpoint = bad("checkpoint.npz", "")
     not_utf8 = "is not UTF-8 text (invalid start byte)"
     for path, argv, problem in (
@@ -458,6 +464,9 @@ def test_non_utf8_input_files_exit_one_naming_the_file(tmp_path, corpus_file,
             (vectors, ["train", "--embeddings", str(vectors), "--emb-dim", "2",
                        "--out", str(tmp_path / "o3")], not_utf8),
             (raw, ["tag", "--checkpoint", str(checkpoint), "--input", str(raw)],
+             not_utf8),
+            (ini, train_args(corpus_file, tmp_path / "o4",
+                             extra=["--config", str(ini), "--experiment", "1"]),
              not_utf8),
             # a checkpoint is binary: the same bytes are not an archive
             (broken_checkpoint, ["eval", "--checkpoint", str(broken_checkpoint),

@@ -205,6 +205,11 @@ def test_load_meta_tags():
     assert mapping == {"DEF": "DET", "CON": "ENT", "EVE": "EVE"}
     with pytest.raises(ParseError):
         load_meta_tags(io.StringIO("DEF DET\n"))
+    # an empty field, and a semtag mapped twice, fail naming their own line
+    for text, line in (("\tC\n", 1), ("# map\nDEF\t\n", 2),
+                       ("t0\tA\n\nt0\tB\n", 3)):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            load_meta_tags(io.StringIO(text))
 
 
 def test_sentence_invariants():

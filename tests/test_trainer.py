@@ -117,6 +117,13 @@ def test_load_experiment_configs_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_experiment_configs(empty)
 
+    same_id = tmp_path / "e.ini"
+    same_id.write_text("[experiment 1]\nepochs = 1\n\n"
+                       "[experiment 01]\nepochs = 2\n")
+    with pytest.raises(ConfigError, match=r"\[experiment 1\] and "
+                                          r"\[experiment 01\]"):
+        load_experiment_configs(same_id)
+
 
 def test_sentence_loss_and_grads_keys_match_model():
     # clip_grads sums norms and checkpoints write tensors in this order
