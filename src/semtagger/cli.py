@@ -12,11 +12,12 @@ import sys
 from contextlib import ExitStack
 from dataclasses import replace
 
-from .errors import ConfigError, ParseError, SemtaggerError
+from .errors import ParseError, SemtaggerError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, load_checkpoint, tag_tokens,
                     tag_vectors)
-from .trainer import (ExperimentConfig, encode_for, evaluate, evaluate_meta,
-                      load_experiment_configs, run_experiment, experiment_grid)
+from .trainer import (OPTIMIZERS, SETTINGS, ExperimentConfig, encode_for,
+                      evaluate, evaluate_meta, load_experiment_configs,
+                      run_experiment, experiment_grid)
 from .data import (Sentence, read_context_embeddings, read_corpus,
                    serialize_corpus)
 
@@ -40,8 +41,9 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     # default None so explicit flags can be told apart from defaults and
     # override a config selected via --config/--experiment
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--lr", type=float, help="base learning rate")
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
+    p.add_argument("--lr", dest="base_lr", metavar="LR", type=float,
+                   help="base learning rate")
     p.add_argument("--batch-size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--emb-dim", type=int)
@@ -103,32 +105,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_train_config(args) -> ExperimentConfig:
-    if args.config:
-        if args.experiment is None:
-            args.parser.error("--config requires --experiment to pick a section")
-        configs = load_experiment_configs(args.config)
-        if args.experiment not in configs:
-            raise ConfigError(
-                f"experiment {args.experiment} not found in {args.config}")
-        base = configs[args.experiment]
-    elif args.experiment is not None:
-        grid = experiment_grid()
-        if args.experiment not in grid:
-            args.parser.error(
-                f"--experiment must be one of {sorted(grid)} (or pass --config)")
-        base = grid[args.experiment]
-    else:
-        base = ExperimentConfig()
+def _grid(args) -> dict[int, ExperimentConfig]:
+    return (load_experiment_configs(args.config) if args.config
+            else experiment_grid())
 
-    overrides = {}
-    for flag, field in (("optimizer", "optimizer"), ("epochs", "epochs"),
-                        ("batch_size", "batch_size"), ("emb_dim", "emb_dim"),
-                        ("hidden_dim", "hidden_dim"), ("lr", "base_lr"),
-                        ("seed", "seed"), ("clip_norm", "clip_norm")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
+
+def _overrides(args) -> dict:
+    return {n: getattr(args, n) for n in SETTINGS
+            if getattr(args, n, None) is not None}
+
+
+def _resolve_train_config(args) -> ExperimentConfig:
+    if args.experiment is None:
+        if args.config:
+            args.parser.error("--config requires --experiment to pick a section")
+        base = ExperimentConfig()
+    else:
+        grid = _grid(args)
+        if args.experiment not in grid:
+            args.parser.error(f"--experiment must be one of {sorted(grid)}")
+        base = grid[args.experiment]
+
+    overrides = _overrides(args)
     if args.embeddings and base.embedding_mode == MODE_INTERNAL:
         overrides["embedding_mode"] = MODE_EXTERNAL
     return replace(base, **overrides) if overrides else base
@@ -202,8 +200,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    grid = (load_experiment_configs(args.config) if args.config
-            else experiment_grid())
+    grid = _grid(args)
     if args.experiments.strip().lower() == "all":
         ids = sorted(grid)
         explicit = False
@@ -226,11 +223,10 @@ def cmd_replicate(args) -> int:
     if needs_corpus and not args.corpus:
         args.parser.error(f"experiments {needs_corpus} need --corpus")
 
+    overrides = _overrides(args)
     finals = {}
     for n in ids:
-        config = grid[n]
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
+        config = replace(grid[n], **overrides)
         if config.embedding_mode == MODE_EXTERNAL and not args.embeddings:
             if explicit:
                 args.parser.error(f"experiment {n} needs --embeddings")
@@ -267,10 +263,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except SemtaggerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SemtaggerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -94,7 +94,8 @@ def experiment_grid() -> dict[int, ExperimentConfig]:
     }
 
 
-_CONFIG_KEYS = {
+# ExperimentConfig's fields but id: INI value types, in provenance order
+SETTINGS = {
     "optimizer": str,
     "epochs": int,
     "batch_size": int,
@@ -102,8 +103,8 @@ _CONFIG_KEYS = {
     "hidden_dim": int,
     "embedding_mode": str,
     "base_lr": float,
-    "seed": int,
     "clip_norm": float,
+    "seed": int,
 }
 
 
@@ -133,10 +134,10 @@ def load_experiment_configs(path) -> dict[int, ExperimentConfig]:
         sections[exp_id] = section
         kwargs = {"id": exp_id}
         for key, raw in parser[section].items():
-            if key not in _CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             try:
-                kwargs[key] = _CONFIG_KEYS[key](raw)
+                kwargs[key] = SETTINGS[key](raw)
             except ValueError:
                 raise ConfigError(
                     f"bad value {raw!r} for {key!r} in [{section}]") from None
@@ -374,14 +375,9 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
 
     if out_dir is not None:
         export_curves(history, os.path.join(out_dir, "curves.csv"))
-        provenance = {
-            "experiment": config.id, "optimizer": config.optimizer,
-            "epochs": config.epochs, "batch_size": config.batch_size,
-            "emb_dim": config.emb_dim, "hidden_dim": config.hidden_dim,
-            "embedding_mode": config.embedding_mode, "base_lr": config.base_lr,
-            "clip_norm": config.clip_norm, "seed": config.seed,
-            "min_freq": min_freq, "val_fraction": val_fraction,
-        }
+        provenance = {"experiment": config.id,
+                      **{n: getattr(config, n) for n in SETTINGS},
+                      "min_freq": min_freq, "val_fraction": val_fraction}
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.npz"),
                         provenance=provenance)
     return history

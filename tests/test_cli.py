@@ -1,6 +1,7 @@
 """Command line behavior: workflows, outputs, and exit codes."""
 
 import io
+import json
 import logging
 import os
 import subprocess
@@ -22,6 +23,7 @@ from semtagger import (
 )
 from semtagger.cli import main
 from semtagger.data import EmbeddedSentence
+from semtagger.trainer import SETTINGS
 
 
 @pytest.fixture()
@@ -137,10 +139,18 @@ def test_config_without_experiment_is_usage_error(tmp_path, corpus_file):
     assert err.value.code == 2
 
 
-def test_unknown_grid_experiment_is_usage_error(corpus_file, tmp_path):
+@pytest.mark.parametrize("with_config", [False, True], ids=["grid", "config"])
+def test_unknown_grid_experiment_is_usage_error(corpus_file, tmp_path,
+                                                with_config):
+    extra = ["--experiment", "9"]
+    if with_config:
+        ini = tmp_path / "grid.ini"
+        ini.write_text("[experiment 1]\nepochs = 1\n")
+        extra += ["--config", str(ini)]
     with pytest.raises(SystemExit) as err:
-        main(train_args(corpus_file, tmp_path, extra=["--experiment", "9"]))
+        main(train_args(corpus_file, tmp_path / "run", extra=extra))
     assert err.value.code == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_bad_corpus_exits_one(tmp_path, capsys):
@@ -216,6 +226,42 @@ def test_flags_override_selected_config(tmp_path, corpus_file):
     assert code == 0
     curves = (out / "curves.csv").read_text().splitlines()
     assert len(curves) == 2  # header + the single overridden epoch
+
+
+def provenance(checkpoint) -> dict:
+    with np.load(checkpoint) as archive:
+        return json.loads(archive["manifest"].tobytes())["provenance"]
+
+
+def test_every_setting_flag_overrides_a_config_row(tmp_path, corpus_file):
+    ini = tmp_path / "grid.ini"
+    ini.write_text(
+        "[experiment 1]\noptimizer = sgd\nepochs = 3\nbatch_size = 2\n"
+        "emb_dim = 5\nhidden_dim = 3\nbase_lr = 0.05\nclip_norm = 2.0\n"
+        "seed = 4\n")
+    flags = {"optimizer": "adam", "epochs": 1, "batch_size": 3, "emb_dim": 4,
+             "hidden_dim": 2, "base_lr": 0.002, "clip_norm": 0.5, "seed": 6}
+    # embedding_mode follows from --embeddings; every other setting has a flag
+    assert set(flags) == set(SETTINGS) - {"embedding_mode"}
+    argv = ["train", "--corpus", str(corpus_file), "--config", str(ini),
+            "--experiment", "1", "--out", str(tmp_path / "run")]
+    for name, value in flags.items():
+        flag = "--lr" if name == "base_lr" else "--" + name.replace("_", "-")
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    got = provenance(tmp_path / "run" / "checkpoint.npz")
+    assert {name: got[name] for name in flags} == flags
+
+
+def test_replicate_seed_overrides_every_row(tmp_path, corpus_file):
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[experiment 1]\nepochs = 1\nemb_dim = 4\nhidden_dim = 3\n"
+                   "seed = 2\n")
+    out = tmp_path / "rep"
+    assert main(["replicate", "--corpus", str(corpus_file), "--config",
+                 str(ini), "--experiments", "1", "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert provenance(out / "experiment1" / "checkpoint.npz")["seed"] == 7
 
 
 def external_fixture(tmp_path, dim=6):

@@ -21,7 +21,7 @@ from semtagger import data as data_module
 from semtagger import trainer as trainer_module
 from semtagger.errors import DivergenceError
 from semtagger.optim import init_optim_state
-from semtagger.trainer import DEFAULT_ADAM_LR, DEFAULT_SGD_LR
+from semtagger.trainer import DEFAULT_ADAM_LR, DEFAULT_SGD_LR, SETTINGS
 
 
 def tiny_setup(n=12, vocab_size=6, k=3, seed=0, config=None):
@@ -94,6 +94,11 @@ def test_load_experiment_configs(tmp_path):
     four = configs[4]
     assert four.embedding_mode == MODE_EXTERNAL
     assert four.batch_size == 9 and four.emb_dim == 16
+
+
+def test_settings_table_lists_every_config_field():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(SETTINGS) == fields - {"id"}
 
 
 def test_load_experiment_configs_errors(tmp_path):
