@@ -1,8 +1,8 @@
 """Command line front end: train, eval, tag, replicate.
 
 Exit codes: 0 on success, 1 for data or model errors (parse failures, unknown
-tags, bad checkpoints, I/O problems), 2 for bad invocations (argparse usage
-errors).
+tags, bad checkpoints, I/O problems, running out of memory), 2 for bad
+invocations (argparse usage errors).
 """
 
 import argparse
@@ -263,8 +263,11 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (SemtaggerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SemtaggerError, OSError, MemoryError) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's message names the array
+            message = f"out of memory ({message})" if message else "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -198,6 +198,8 @@ def build_vocab(sentences, min_freq: int = 1) -> tuple[Vocab, TagSet]:
     """Vocab in first-occurrence order with UNK reserved at id 0 (tokens below
     min_freq are dropped and map to UNK at encode time); tags sorted
     lexicographically for stable ids."""
+    if min_freq < 1:
+        raise ConfigError(f"min_freq must be at least 1, got {min_freq}")
     if not sentences:
         raise EmptyCorpusError("cannot build a vocabulary from zero sentences")
     counts: dict[str, int] = {}

@@ -421,6 +421,34 @@ def test_unusable_out_directory_fails_before_training(tmp_path, corpus_file,
     assert not [r for r in caplog.records if " epoch " in r.getMessage()]
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 21.6 GiB for an array with shape (100000000, 29) "
+    "and data type float64", ""], ids=["numpy", "bare"])
+def test_out_of_memory_exits_one(tmp_path, corpus_file, capsys, monkeypatch,
+                                 message):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("semtagger.trainer.init_params", no_memory)
+    assert main(train_args(corpus_file, tmp_path / "run")) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: out of memory ({message})" if message
+                   else "error: out of memory"]
+
+
+@pytest.mark.parametrize("min_freq", ["0", "-3"])
+def test_min_freq_below_one_exits_one_before_training(tmp_path, corpus_file,
+                                                      capsys, caplog, min_freq):
+    caplog.set_level(logging.INFO, logger="semtagger")
+    out = tmp_path / "run"
+    assert main(train_args(corpus_file, out,
+                           extra=["--min-freq", min_freq])) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: min_freq must be at least 1, got {min_freq}"]
+    assert not [r for r in caplog.records if " epoch " in r.getMessage()]
+    assert not out.exists()
+
+
 def test_cli_import_does_not_load_scipy():
     script = ("import sys, semtagger.cli; "
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -82,6 +82,9 @@ def test_build_vocab_min_freq():
     assert "dog" in vocab.token_to_id      # occurs twice
     assert "barks" not in vocab.token_to_id
     assert vocab.lookup("barks") == UNK_ID
+    for below_one in (0, -3):
+        with pytest.raises(ConfigError, match="min_freq must be at least 1"):
+            build_vocab(sents, min_freq=below_one)
 
 
 def test_encode_maps_unknown_tokens_to_unk():
