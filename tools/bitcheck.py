@@ -1,6 +1,6 @@
 """Check that two source trees train byte for byte alike.
 
-    git archive <commit> | tar -x -C ../parent
+    mkdir ../parent && git archive <commit> | tar -x -C ../parent
     python3 tools/bitcheck.py ../parent/src
 
 Runs the two golden runs of ``tests/test_golden.py`` (``golden_run`` and
@@ -55,9 +55,9 @@ def curves_mismatches(a: Path, b: Path) -> int:
 
 def checkpoint_mismatches(a: Path, b: Path) -> int:
     with zipfile.ZipFile(a) as za, zipfile.ZipFile(b) as zb:
-        names = set(za.namelist()) | set(zb.namelist())
-        members = sum(name not in za.namelist() or name not in zb.namelist()
-                      or za.read(name) != zb.read(name) for name in names)
+        names_a, names_b = set(za.namelist()), set(zb.namelist())
+        members = len(names_a ^ names_b) + sum(
+            za.read(name) != zb.read(name) for name in names_a & names_b)
     return members or int(a.read_bytes() != b.read_bytes())
 
 
