@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-DEFAULT_ADAM_LR = 1e-3
-DEFAULT_SGD_LR = 1e-2
+OPTIMIZERS = {"adam": 1e-3, "sgd": 1e-2}  # name -> default base learning rate
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -24,12 +24,10 @@ from .encoder import backward, forward, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
                     save_checkpoint)
-from .optim import (DEFAULT_ADAM_LR, DEFAULT_SGD_LR, OptimState, adam_step,
-                    clip_grads, init_optim_state, lr_at, sgd_step)
+from .optim import (OPTIMIZERS, OptimState, adam_step, clip_grads,
+                    init_optim_state, lr_at, sgd_step)
 
 logger = logging.getLogger("semtagger")
-
-OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass
@@ -48,7 +46,7 @@ class ExperimentConfig:
     def __post_init__(self):
         self.optimizer = self.optimizer.lower()
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, "
+            raise ConfigError(f"optimizer must be one of {tuple(OPTIMIZERS)}, "
                               f"got {self.optimizer!r}")
         if self.embedding_mode not in (MODE_INTERNAL, MODE_EXTERNAL):
             raise ConfigError(f"embedding_mode must be '{MODE_INTERNAL}' or "
@@ -56,14 +54,16 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size", "emb_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.base_lr is None:
-            self.base_lr = (DEFAULT_ADAM_LR if self.optimizer == "adam"
-                            else DEFAULT_SGD_LR)
-        if not 0 < self.base_lr < math.inf:
+        if self.base_lr is not None and not 0 < self.base_lr < math.inf:
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
         if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
             raise ConfigError(
                 f"clip_norm must be positive and finite, got {self.clip_norm}")
+
+    @property
+    def effective_lr(self) -> float:
+        """base_lr, or the optimizer's default when nothing set it."""
+        return OPTIMIZERS[self.optimizer] if self.base_lr is None else self.base_lr
 
 
 @dataclass
@@ -242,7 +242,7 @@ def train_epoch(model: TaggerModel, train_data, val_data,
     Non-finite scores or parameters raise ``DivergenceError`` naming the
     experiment, the epoch and the batch step (or the end-of-epoch evaluation).
     """
-    lr = lr_at(config.base_lr, epoch_index)
+    lr = lr_at(config.effective_lr, epoch_index)
     order = np.random.default_rng([config.seed, epoch_index]).permutation(
         len(train_data))
 
@@ -377,6 +377,7 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
         export_curves(history, os.path.join(out_dir, "curves.csv"))
         provenance = {"experiment": config.id,
                       **{n: getattr(config, n) for n in SETTINGS},
+                      "base_lr": config.effective_lr,  # repeated: keeps its slot
                       "min_freq": min_freq, "val_fraction": val_fraction}
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.npz"),
                         provenance=provenance)

@@ -184,7 +184,7 @@ def test_criterion_4_schedule_conformance(exp1_toy_run):
     _, curves_path, _ = exp1_toy_run
     rows = curves_path.read_text().splitlines()[1:]
     lrs = [float(line.split(",")[5]) for line in rows]
-    base_lr = experiment_grid()[1].base_lr
+    base_lr = experiment_grid()[1].effective_lr
     first_ok = all(abs(lr - base_lr) <= 1e-6 * base_lr for lr in lrs[:10])
     second_ok = all(abs(lr - 0.1 * base_lr) <= 1e-6 * base_lr
                     for lr in lrs[10:20])

@@ -253,6 +253,29 @@ def test_every_setting_flag_overrides_a_config_row(tmp_path, corpus_file):
     assert {name: got[name] for name in flags} == flags
 
 
+@pytest.mark.parametrize("extra, lr", [
+    (["--optimizer", "sgd"], 0.01),
+    (["--experiment", "3", "--optimizer", "adam"], 0.001),
+], ids=["sgd", "experiment3-adam"])
+def test_optimizer_flag_runs_that_optimizers_default_lr(tmp_path, corpus_file,
+                                                        extra, lr):
+    out = tmp_path / "run"
+    assert main(train_args(corpus_file, out, extra=extra)) == 0
+    assert provenance(out / "checkpoint.npz")["base_lr"] == lr
+    rows = (out / "curves.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[5]) for row in rows] == [lr, lr]
+
+
+def test_a_set_lr_survives_an_optimizer_override(tmp_path, corpus_file):
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[experiment 1]\noptimizer = sgd\nbase_lr = 0.05\n")
+    out = tmp_path / "run"
+    assert main(train_args(corpus_file, out, extra=[
+        "--config", str(ini), "--experiment", "1", "--optimizer", "adam"])) == 0
+    got = provenance(out / "checkpoint.npz")
+    assert (got["optimizer"], got["base_lr"]) == ("adam", 0.05)
+
+
 def test_replicate_seed_overrides_every_row(tmp_path, corpus_file):
     ini = tmp_path / "grid.ini"
     ini.write_text("[experiment 1]\nepochs = 1\nemb_dim = 4\nhidden_dim = 3\n"

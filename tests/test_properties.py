@@ -1,7 +1,9 @@
-"""Hypothesis properties of the file formats: round trips and malformed input.
+"""Hypothesis properties of the file formats and of the command line.
 
 The formats are the corpus, the contextual-embedding file, the meta-tag map
-and the checkpoint archive.
+and the checkpoint archive: they round-trip, and malformed input raises a
+package error. On the command line, setting flags resolve to the config that
+they name.
 
 Every test runs with a fixed derivation of its examples (``derandomize``) and
 no example database, so the suite stays deterministic. Hypothesis still caches
@@ -22,12 +24,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semtagger import (NEG_INF, UNK_TOKEN, CheckpointError, DimensionError,
-                       EmbeddedSentence, Sentence, SemtaggerError, TagSet,
+                       EmbeddedSentence, ExperimentConfig, Sentence, SemtaggerError, TagSet,
                        TaggerModel, Vocab, init_crf_params, init_params,
                        load_checkpoint, load_context_embeddings,
                        load_meta_tags, parse_corpus,
                        save_checkpoint, serialize_context_embeddings,
                        serialize_corpus)
+from semtagger.cli import _resolve_train_config, build_parser
+from semtagger.trainer import SETTINGS
 
 configuration.set_hypothesis_home_dir(
     os.path.join(tempfile.gettempdir(), ".hypothesis"))
@@ -339,3 +343,54 @@ def test_edited_checkpoint_loads_or_raises_a_checkpoint_error(kind):
         assert isinstance(model, TaggerModel)
 
     check()
+
+
+# ------------------------------------------------------------- command line
+
+# README's "Experiment grid" table: optimizer, batch, emb dim, hidden dim,
+# embeddings. Every row runs 20 epochs.
+README_GRID = {
+    1: ("adam", 5, 50, 8, "internal"),
+    2: ("adam", 5, 100, 20, "internal"),
+    3: ("sgd", 5, 100, 20, "internal"),
+    4: ("adam", 20, 100, 20, "internal"),
+    5: ("adam", 5, 100, 30, "internal"),
+    6: ("adam", 5, 100, 50, "internal"),
+    7: ("sgd", 5, 768, 600, "external"),
+}
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COUNT = st.integers(1, 1000)
+
+# Each setting's train flag and its valid values. embedding_mode follows from
+# --embeddings and has no flag of its own.
+SETTING_FLAGS = {
+    "optimizer": ("--optimizer", st.sampled_from(["adam", "sgd"])),
+    "epochs": ("--epochs", COUNT),
+    "batch_size": ("--batch-size", COUNT),
+    "emb_dim": ("--emb-dim", COUNT),
+    "hidden_dim": ("--hidden-dim", COUNT),
+    "base_lr": ("--lr", POSITIVE),
+    "clip_norm": ("--clip-norm", POSITIVE),
+    "seed": ("--seed", st.integers(0, 2**70)),
+}
+
+
+@PROPERTY
+@given(st.sampled_from([None, *README_GRID]),
+       st.fixed_dictionaries({}, optional={
+           name: values for name, (_, values) in SETTING_FLAGS.items()}))
+def test_setting_flags_resolve_to_the_config_they_name(experiment, flags):
+    assert set(SETTING_FLAGS) == set(SETTINGS) - {"embedding_mode"}
+    argv = ["train"]
+    given = {}
+    if experiment is not None:
+        argv += ["--experiment", str(experiment)]
+        optimizer, batch, emb, hidden, mode = README_GRID[experiment]
+        given = dict(id=experiment, optimizer=optimizer, epochs=20,
+                     batch_size=batch, emb_dim=emb, hidden_dim=hidden,
+                     embedding_mode=mode)
+    for name, value in flags.items():
+        argv.append(f"{SETTING_FLAGS[name][0]}={value}")
+    resolved = _resolve_train_config(build_parser().parse_args(argv))
+    assert resolved == ExperimentConfig(**{**given, **flags})

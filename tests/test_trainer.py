@@ -20,8 +20,8 @@ from semtagger.model import MODE_EXTERNAL, MODE_INTERNAL
 from semtagger import data as data_module
 from semtagger import trainer as trainer_module
 from semtagger.errors import DivergenceError
-from semtagger.optim import init_optim_state
-from semtagger.trainer import DEFAULT_ADAM_LR, DEFAULT_SGD_LR, SETTINGS
+from semtagger.optim import OPTIMIZERS, init_optim_state
+from semtagger.trainer import SETTINGS
 
 
 def tiny_setup(n=12, vocab_size=6, k=3, seed=0, config=None):
@@ -35,10 +35,10 @@ def tiny_setup(n=12, vocab_size=6, k=3, seed=0, config=None):
 
 
 def test_experiment_config_defaults_resolve_lr():
-    assert ExperimentConfig(optimizer="adam").base_lr == DEFAULT_ADAM_LR
-    assert ExperimentConfig(optimizer="sgd").base_lr == DEFAULT_SGD_LR
+    assert ExperimentConfig(optimizer="adam").effective_lr == OPTIMIZERS["adam"]
+    assert ExperimentConfig(optimizer="sgd").effective_lr == OPTIMIZERS["sgd"]
     assert ExperimentConfig(optimizer="SGD").optimizer == "sgd"
-    assert ExperimentConfig(base_lr=0.5).base_lr == 0.5
+    assert ExperimentConfig(base_lr=0.5).effective_lr == 0.5
 
 
 def test_experiment_config_validation():
@@ -67,8 +67,9 @@ def test_builtin_experiment_grid_rows():
     assert rows[6] == ("adam", 5, 100, 50, MODE_INTERNAL, 20)
     assert rows[7] == ("sgd", 5, 768, 600, MODE_EXTERNAL, 20)
     for config in grid.values():
-        assert config.base_lr == (DEFAULT_ADAM_LR if config.optimizer == "adam"
-                                  else DEFAULT_SGD_LR)
+        assert config.effective_lr == (OPTIMIZERS["adam"]
+                                       if config.optimizer == "adam"
+                                       else OPTIMIZERS["sgd"])
 
 
 def test_load_experiment_configs(tmp_path):
@@ -158,7 +159,7 @@ def test_one_epoch_reduces_training_loss():
     metrics, state = train_epoch(model, train, val, config, 0, state)
     assert metrics.train_loss < before
     assert metrics.epoch == 0
-    assert metrics.lr == config.base_lr
+    assert metrics.lr == config.effective_lr
 
 
 def test_full_batch_equals_manual_average_step():
