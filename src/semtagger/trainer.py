@@ -54,6 +54,8 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size", "emb_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.base_lr is not None and not 0 < self.base_lr < math.inf:
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
         if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:

@@ -287,6 +287,25 @@ def test_replicate_seed_overrides_every_row(tmp_path, corpus_file):
     assert provenance(out / "experiment1" / "checkpoint.npz")["seed"] == 7
 
 
+@pytest.mark.parametrize("command", ["train", "replicate", "config"])
+def test_negative_seed_exits_one(tmp_path, corpus_file, capsys, command):
+    ini = tmp_path / "grid.ini"
+    ini.write_text("[experiment 1]\nepochs = 1\nemb_dim = 4\nhidden_dim = 3\n"
+                   + ("seed = -5\n" if command == "config" else ""))
+    out = tmp_path / "run"
+    argv, seed = {
+        "train": (train_args(corpus_file, out, extra=["--seed", "-1"]), -1),
+        "replicate": (["replicate", "--corpus", str(corpus_file), "--config",
+                       str(ini), "--seed", "-2", "--out", str(out)], -2),
+        "config": (["train", "--corpus", str(corpus_file), "--config",
+                    str(ini), "--experiment", "1", "--out", str(out)], -5),
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: seed must be non-negative, got {seed}"]
+    assert not out.exists()
+
+
 def external_fixture(tmp_path, dim=6):
     base = make_toy_corpus(20, vocab_size=7, num_tags=3, seed=12,
                            min_len=2, max_len=4)

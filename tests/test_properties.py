@@ -3,7 +3,8 @@
 The formats are the corpus, the contextual-embedding file, the meta-tag map
 and the checkpoint archive: they round-trip, and malformed input raises a
 package error. On the command line, setting flags resolve to the config that
-they name.
+they name, and no value of them ends ``train`` or ``replicate`` in a
+traceback.
 
 Every test runs with a fixed derivation of its examples (``derandomize``) and
 no example database, so the suite stays deterministic. Hypothesis still caches
@@ -12,10 +13,12 @@ temporary directory, as NumPy's own test suite arranges, so running the tests
 writes no ``.hypothesis/`` directory into the checkout.
 """
 
+import contextlib
 import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +27,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semtagger import (NEG_INF, UNK_TOKEN, CheckpointError, DimensionError,
-                       EmbeddedSentence, ExperimentConfig, Sentence, SemtaggerError, TagSet,
-                       TaggerModel, Vocab, init_crf_params, init_params,
+                       EmbeddedSentence, ExperimentConfig, Sentence,
+                       SemtaggerError, TagSet, TaggerModel, Vocab, init_crf_params, init_params,
                        load_checkpoint, load_context_embeddings,
                        load_meta_tags, parse_corpus,
                        save_checkpoint, serialize_context_embeddings,
                        serialize_corpus)
-from semtagger.cli import _resolve_train_config, build_parser
+from helpers import make_toy_corpus
+from semtagger.cli import _resolve_train_config, build_parser, main
 from semtagger.trainer import SETTINGS
 
 configuration.set_hypothesis_home_dir(
@@ -394,3 +398,58 @@ def test_setting_flags_resolve_to_the_config_they_name(experiment, flags):
         argv.append(f"{SETTING_FLAGS[name][0]}={value}")
     resolved = _resolve_train_config(build_parser().parse_args(argv))
     assert resolved == ExperimentConfig(**{**given, **flags})
+
+
+# Valid and invalid values for the flags that take a number. Dims stay at 8
+# or below, so no example allocates much memory.
+SMALL = st.integers(-3, 8)
+SEEDS = st.one_of(SMALL, st.just(2**64 + 1))
+RATES = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-3", "0.5",
+                         "1e6", "1e308"])
+RUN_FLAGS = {
+    "train": {"--optimizer": st.sampled_from(["adam", "sgd"]),
+              "--epochs": SMALL, "--batch-size": SMALL, "--emb-dim": SMALL,
+              "--hidden-dim": SMALL, "--min-freq": SMALL, "--seed": SEEDS,
+              "--lr": RATES, "--clip-norm": RATES, "--val-fraction": RATES},
+    "replicate": {"--min-freq": SMALL, "--seed": SEEDS,
+                  "--val-fraction": RATES},
+}
+
+
+@st.composite
+def runs(draw):
+    """A command and a few of its flags: one bad value can hide another, so
+    each example sets at most three."""
+    command = draw(st.sampled_from(sorted(RUN_FLAGS)))
+    names = draw(st.lists(st.sampled_from(sorted(RUN_FLAGS[command])),
+                          unique=True, max_size=3))
+    return command, {name: draw(RUN_FLAGS[command][name]) for name in names}
+
+
+@PROPERTY
+@given(runs())
+def test_setting_flags_never_end_in_a_traceback(run):
+    command, flags = run
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, ini = Path(tmp, "corpus.tsv"), Path(tmp, "grid.ini")
+        corpus.write_text(serialize_corpus(
+            make_toy_corpus(10, 6, 3, seed=1, max_len=5)), encoding="utf-8")
+        ini.write_text("[experiment 1]\nepochs = 2\nemb_dim = 4\n"
+                       "hidden_dim = 3\n", encoding="utf-8")
+        argv = [command, "-q", "--corpus", str(corpus), "--config", str(ini),
+                "--experiment" if command == "train" else "--experiments", "1",
+                "--out", str(Path(tmp, "out")),
+                *(f"{flag}={value}" for flag, value in flags.items())]
+        with (contextlib.redirect_stderr(stderr),
+              contextlib.redirect_stdout(io.StringIO())):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 1:
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
