@@ -3,10 +3,9 @@
 The CLI maps these onto exit codes: anything derived from SemtaggerError,
 any OSError and a MemoryError (running out of memory) are data/model errors
 (exit 1); bad command lines are usage errors (exit 2) and are handled by
-argparse. The encoder's IndexError for an
-out-of-range token id is not mapped: CLI input cannot reach it, since ids come
-from ``Vocab.lookup`` and ``TaggerModel`` checks the vocab size against the
-embedding rows.
+argparse. The encoder's IndexError for an out-of-range token id is not
+mapped: CLI input cannot reach it, since ids come from ``Vocab.lookup`` and
+``TaggerModel`` checks the vocab size against the embedding rows.
 """
 
 

@@ -26,14 +26,15 @@ from hypothesis import HealthCheck, configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import make_toy_corpus
 from semtagger import (NEG_INF, UNK_TOKEN, CheckpointError, DimensionError,
                        EmbeddedSentence, ExperimentConfig, Sentence,
-                       SemtaggerError, TagSet, TaggerModel, Vocab, init_crf_params, init_params,
+                       SemtaggerError, TagSet, TaggerModel, Vocab,
+                       init_crf_params, init_params,
                        load_checkpoint, load_context_embeddings,
                        load_meta_tags, parse_corpus,
                        save_checkpoint, serialize_context_embeddings,
                        serialize_corpus)
-from helpers import make_toy_corpus
 from semtagger.cli import _resolve_train_config, build_parser, main
 from semtagger.trainer import SETTINGS
 
