@@ -9,15 +9,15 @@ experiment grid, and `cli` the command line front end.
 """
 
 from .crf import (CrfGradients, CrfParams, NEG_INF, init_crf_params,
-                  log_partition, nll_and_grad, nll_loss, score_path,
-                  viterbi_decode)
+                  log_partition, log_partitions, nll_and_grad, nll_loss,
+                  score_path, viterbi_decode, viterbi_paths)
 from .data import (EmbeddedSentence, Sentence, TagSet, UNK_ID, UNK_TOKEN,
                    Vocab, build_vocab, encode, encode_tags,
                    load_context_embeddings, load_meta_tags, parse_corpus,
                    read_context_embeddings, read_corpus,
                    serialize_context_embeddings, serialize_corpus, split)
 from .encoder import (EncoderParams, EncoderTape, backward, forward,
-                      init_params)
+                      forward_group, init_params)
 from .errors import (CheckpointError, ConfigError, DimensionError,
                      DivergenceError, EmptyCorpusError, EmptySequenceError,
                      ParseError, SemtaggerError, UnknownTagError)

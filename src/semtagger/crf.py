@@ -29,6 +29,19 @@ Conventions used throughout:
   so nothing overflows. A column whose scaled sum falls below ``_TINY`` has
   lost digits to underflow and is recomputed in log space, which keeps the
   result exact for every finite transition matrix.
+
+* The forward sweep and Viterbi run packed: one loop over the time steps of
+  a group of sentences sorted longest first (see ``_pack``). At step ``t``
+  only the prefix of sentences still running is active, so no lane computes
+  past its sentence's end and a padded cell is never read. One sentence is a
+  group of one; there is no second per-sentence copy of either recursion.
+  Packing does not change a single bit. A stacked product such as
+  ``e[:, None, :] @ scaled`` runs one matrix-vector product per sentence
+  inside one numpy call, with the same BLAS kernel as ``e[i] @ scaled``
+  (a matrix-matrix product of the stacked rows would not: its blocking
+  moves the last bits). Max, argmax and every elementwise step treat each
+  lane on its own, and the per-sentence reductions (log Z's final
+  log-sum-exp, ``_score_path``) keep their one-sentence call shape.
 """
 
 from dataclasses import dataclass
@@ -154,41 +167,76 @@ def _scaled(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(trans - shift), shift
 
 
-def _log_matvec(v: np.ndarray, trans: np.ndarray, scaled: np.ndarray,
-                shift: np.ndarray) -> np.ndarray:
-    """``log sum_i exp(v[i] + trans[i, j])`` for every column ``j``, given
-    ``(scaled, shift) = _scaled(trans)``."""
-    top = v.max()
-    sums = np.exp(v - top) @ scaled
-    low = sums < _TINY
-    if not low.any():
-        return top + shift + np.log(sums)
-    sums[low] = 1.0
-    out = top + shift + np.log(sums)
-    out[low] = _logsumexp(v[:, None] + trans[:, low], axis=0)
-    return out
+def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Time-major ``(T_max, n, ...)`` stack of ``n`` arrays sorted longest
+    first, and the number of lanes active at each step: lane ``i`` runs at
+    step ``t`` iff ``t < len(arrays[i])``, so the active lanes are a prefix.
+    Cells past a lane's end are zero and never read. A single array is
+    returned as a view."""
+    lengths = [len(a) for a in arrays]
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"packed arrays must be sorted longest first, got "
+                         f"lengths {lengths}")
+    if len(arrays) == 1:
+        return arrays[0][:, None], [1] * lengths[0]
+    packed = np.zeros((lengths[0], len(arrays)) + arrays[0].shape[1:])
+    for i, a in enumerate(arrays):
+        packed[:len(a), i] = a
+    active, n = [], len(lengths)
+    for t in range(lengths[0]):
+        while lengths[n - 1] <= t:
+            n -= 1
+        active.append(n)
+    return packed, active
 
 
-def _sweep(first: np.ndarray, emissions: np.ndarray,
+def _sweep(first: np.ndarray, emissions: list[np.ndarray],
            trans: np.ndarray) -> np.ndarray:
-    """Rows of the log-space recursion ``rows[t, j] = log sum_i exp(rows[t-1, i]
-    + emissions[t-1, i] + trans[i, j])`` from ``rows[0] = first``: each row is
-    stored before its own step's emission is added."""
+    """Packed rows of the log-space recursion ``rows[t, l, j] = log sum_i
+    exp(rows[t-1, l, i] + emissions[l][t-1, i] + trans[i, j])`` from
+    ``rows[0, l] = first``, for emission matrices sorted longest first: each
+    row is stored before its own step's emission is added."""
     scaled, shift = _scaled(trans)
-    rows = np.empty(emissions.shape)
+    packed, active = _pack(emissions)
+    rows = np.empty(packed.shape)
     rows[0] = first
-    for t in range(1, len(rows)):
-        rows[t] = _log_matvec(rows[t - 1] + emissions[t - 1], trans, scaled, shift)
+    for m, prev, e, row in zip(active[1:], rows, packed, rows[1:]):
+        if m < len(emissions):  # only the first m lanes still run
+            prev, e, row = prev[:m], e[:m], row[:m]
+        v = prev + e
+        top = v.max(axis=1, keepdims=True)
+        v -= top
+        sums = (np.exp(v, out=v)[:, None, :] @ scaled)[:, 0]
+        np.add(top, shift, out=row)
+        if sums.min() >= _TINY:
+            row += np.log(sums, out=sums)
+            continue
+        # underflowed columns are redone in log space, from the lane's v
+        # recomputed (the exp above overwrote it)
+        low = sums < _TINY
+        sums[low] = 1.0
+        row += np.log(sums, out=sums)
+        for lane in np.flatnonzero(low.any(axis=1)):
+            cols = low[lane]
+            row[lane, cols] = _logsumexp(
+                (prev[lane] + e[lane])[:, None] + trans[:, cols], axis=0)
     return rows
 
 
-def _forward(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(alpha, log Z)``: ``alpha[t, k]`` is the log sum over prefixes ending
-    in tag ``k`` at time ``t``."""
+def _forward(params: CrfParams,
+             emissions: list[np.ndarray]) -> list[tuple[np.ndarray, float]]:
+    """``(alpha, log Z)`` per emission matrix, sorted longest first:
+    ``alpha[t, k]`` is the log sum over prefixes ending in tag ``k`` at time
+    ``t``."""
     k = params.num_tags
-    alpha = _sweep(params.transitions[params.start, :k], emissions,
-                   params.transitions[:k, :k]) + emissions
-    return alpha, float(_logsumexp(alpha[-1] + params.transitions[:k, params.stop]))
+    rows = _sweep(params.transitions[params.start, :k], emissions,
+                  params.transitions[:k, :k])
+    out = []
+    for lane, e in enumerate(emissions):
+        alpha = rows[:len(e), lane] + e
+        out.append((alpha, float(_logsumexp(
+            alpha[-1] + params.transitions[:k, params.stop]))))
+    return out
 
 
 def _expected_transitions(trans: np.ndarray, alpha: np.ndarray, right: np.ndarray,
@@ -217,7 +265,14 @@ def _expected_transitions(trans: np.ndarray, alpha: np.ndarray, right: np.ndarra
 
 def log_partition(params: CrfParams, emissions: np.ndarray) -> float:
     """log Z: log-sum-exp of the scores of all K^T paths, via the forward pass."""
-    return _forward(params, _check_emissions(params, emissions))[1]
+    return _forward(params, [_check_emissions(params, emissions)])[0][1]
+
+
+def log_partitions(params: CrfParams, emissions: list) -> list[float]:
+    """``log_partition`` of each emission matrix, sorted longest first, from
+    one packed forward pass; bit-identical to one call per matrix."""
+    return [log_z for _, log_z in _forward(
+        params, [_check_emissions(params, e) for e in emissions])]
 
 
 def nll_loss(params: CrfParams, emissions: np.ndarray, gold) -> float:
@@ -236,11 +291,11 @@ def nll_and_grad(params: CrfParams, emissions: np.ndarray,
     emissions = _check_emissions(params, emissions)
     gold = _check_path(params, emissions, gold)
     big_t, k = emissions.shape
-    alpha, log_z = _forward(params, emissions)
+    ((alpha, log_z),) = _forward(params, [emissions])
     # beta[t, k]: log sum over suffixes given tag k at time t, excluding the
     # emission at t; the forward sweep run right to left through trans.T
-    beta = _sweep(params.transitions[:k, params.stop], emissions[::-1],
-                  params.transitions[:k, :k].T)[::-1]
+    beta = _sweep(params.transitions[:k, params.stop], [emissions[::-1]],
+                  params.transitions[:k, :k].T)[::-1, 0]
     unary = np.exp(alpha + beta - log_z)
 
     d_trans = np.zeros_like(params.transitions)
@@ -258,28 +313,53 @@ def nll_and_grad(params: CrfParams, emissions: np.ndarray,
     return loss, CrfGradients(d_transitions=d_trans, d_emissions=unary)
 
 
+def _viterbi(params: CrfParams, emissions: list[np.ndarray]) -> list[np.ndarray]:
+    """Best path per emission matrix, sorted longest first, by one packed
+    max-plus loop.
+
+    ``pi[l, j]`` is the best score of any prefix of lane ``l`` ending in tag
+    ``j``; ``bp[t, l, j]`` records the maximizing predecessor. The step runs
+    on the transposed table, ``cand[l, j, i] = trans[i, j] + pi[l, i]``, so
+    each argmax reads one contiguous row and keeps the first maximizer: ties
+    break toward the lowest tag index.
+    """
+    k = params.num_tags
+    trans_t = np.ascontiguousarray(params.transitions[:k, :k].T)
+    packed, active = _pack(emissions)
+    lanes, tags = np.arange(len(emissions))[:, None], np.arange(k)
+    pi = params.transitions[params.start, :k] + packed[0]
+    last = np.empty((len(emissions), k))  # pi at each lane's final step
+    bp = np.empty(packed.shape, dtype=np.intp)
+    for t in range(1, len(packed)):
+        n = active[t]
+        last[n:len(pi)] = pi[n:]
+        cand = trans_t + pi[:n, None, :]
+        best = cand.argmax(axis=2, out=bp[t, :n])
+        pi = cand[lanes[:n], tags, best] + packed[t, :n]
+    last[:len(pi)] = pi
+    final = last + params.transitions[:k, params.stop]
+    paths = []
+    for lane, e in enumerate(emissions):
+        path = np.empty(len(e), dtype=np.intp)
+        path[-1] = int(final[lane].argmax())
+        for t in range(len(e) - 1, 0, -1):
+            path[t - 1] = bp[t, lane, path[t]]
+        paths.append(path)
+    return paths
+
+
 def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:
     """Highest-scoring tag path and its score, by max-plus dynamic programming.
 
-    ``pi[t, s]`` is the best score of any prefix ending in tag ``s`` at time
-    ``t``; ``bp[t, s]`` records the maximizing predecessor. Ties break toward
-    the lowest tag index (argmax keeps the first maximizer). The returned
-    score equals ``score_path`` of the returned path exactly.
+    Ties break toward the lowest tag index. The returned score equals
+    ``score_path`` of the returned path exactly.
     """
     emissions = _check_emissions(params, emissions)
-    big_t, k = emissions.shape
-    trans = params.transitions[:k, :k]
-
-    pi = params.transitions[params.start, :k] + emissions[0]
-    bp = np.empty((big_t, k), dtype=np.intp)
-    for t in range(1, big_t):
-        cand = pi[:, None] + trans             # cand[i, j]: best-through-i then i->j
-        bp[t] = cand.argmax(axis=0)
-        pi = cand[bp[t], np.arange(k)] + emissions[t]
-
-    final = pi + params.transitions[:k, params.stop]
-    path = np.empty(big_t, dtype=np.intp)
-    path[-1] = int(final.argmax())
-    for t in range(big_t - 1, 0, -1):
-        path[t - 1] = bp[t, path[t]]
+    (path,) = _viterbi(params, [emissions])
     return path, _score_path(params, emissions, path)
+
+
+def viterbi_paths(params: CrfParams, emissions: list) -> list[np.ndarray]:
+    """``viterbi_decode``'s path for each emission matrix, sorted longest
+    first, from one packed loop."""
+    return _viterbi(params, [_check_emissions(params, e) for e in emissions])

@@ -14,12 +14,24 @@ Two input modes share the same LSTM stack:
 
 Gate layout in the stacked LSTM weights is fixed as four (H, ...) blocks in
 the order: input gate, forget gate, candidate, output gate.
+
+The recurrence is one packed loop (``_lstm``) over a group of sentences
+sorted longest first, laid out time-major by ``crf._pack``. At step ``t``
+only the prefix of sentences still running is active (``h = h[:n_t]``), so
+no lane computes past its sentence's end. ``forward`` runs it on a group of
+one; ``forward_group`` on many. Both give the same bits: the recurrent
+product ``W_h @ h[:, :, None]`` is one matrix-vector product per sentence
+inside one numpy call, the same BLAS kernel as ``W_h @ h`` (the rows of a
+matrix-matrix product ``h @ W_h.T`` would differ in the last bits), and the
+gates are elementwise. The input and output layers stay one matrix product
+per sentence, with the shapes of the unpacked code.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .crf import _pack
 from .errors import ConfigError, DimensionError, EmptySequenceError
 
 
@@ -97,9 +109,13 @@ class EncoderTape:
     hidden: np.ndarray          # (T, H) h_t
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function through tanh, so no ``exp`` can overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
+    """Logistic function through tanh, so no ``exp`` can overflow, computed
+    into ``out`` as ``0.5 * (1.0 + tanh(0.5 * x))``."""
+    np.multiply(0.5, x, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -156,39 +172,60 @@ def _resolve_inputs(params: EncoderParams, tokens) -> tuple[np.ndarray, np.ndarr
     )
 
 
+def _lstm(params: EncoderParams, zx: np.ndarray, active: list[int]):
+    """The LSTM recurrence over packed input projections ``zx`` (T_max, n, 4H)
+    with ``active[t]`` lanes running at step ``t`` (see ``crf._pack``). Each
+    step overwrites its projections with the post-activation gates. Returns
+    ``zx``, so holding the gates, and the cell, tanh(cell) and hidden states
+    (T_max, n, H); cells past a lane's end are left unwritten."""
+    big_t, n, _ = zx.shape
+    h_dim = params.hidden_dim
+    gi, gf, gg, go = (slice(b * h_dim, (b + 1) * h_dim) for b in range(4))
+    cell = np.empty((big_t, n, h_dim))
+    tanh_cell = np.empty((big_t, n, h_dim))
+    hidden = np.empty((big_t, n, h_dim))
+
+    h = c = np.zeros((n, h_dim))
+    for m, act, c_t, tanh_t, h_t in zip(active, zx, cell, tanh_cell, hidden):
+        if m < n:  # only the first m lanes still run
+            act, c_t, tanh_t, h_t, h, c = (
+                a[:m] for a in (act, c_t, tanh_t, h_t, h, c))
+        z = (params.lstm_hidden_weights @ h[:, :, None])[:, :, 0]
+        z += act  # the step's input projection, until act takes the gates
+        _sigmoid(z, out=act)
+        np.tanh(z[:, gg], out=act[:, gg])
+        c = np.add(act[:, gf] * c, act[:, gi] * act[:, gg], out=c_t)
+        h = np.multiply(act[:, go], np.tanh(c, out=tanh_t), out=h_t)
+    return zx, cell, tanh_cell, hidden
+
+
+def _input_projection(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    return x @ params.lstm_input_weights.T + params.lstm_bias  # (T, 4H)
+
+
 def forward(params: EncoderParams, tokens) -> tuple[np.ndarray, EncoderTape]:
     """Run the LSTM over one sentence; return (emissions (T, K), tape).
 
     Hidden and cell state start at zero. ``emissions[t] = W_out h_t + b_out``.
     """
     x, token_ids = _resolve_inputs(params, tokens)
-    big_t = x.shape[0]
     h_dim = params.hidden_dim
-
-    zx = x @ params.lstm_input_weights.T + params.lstm_bias  # (T, 4H)
-    gates = np.empty((big_t, 4 * h_dim))  # post-activation gate blocks
-    gi, gf, gg, go = (slice(n * h_dim, (n + 1) * h_dim) for n in range(4))
-    cell = np.empty((big_t, h_dim))
-    tanh_cell = np.empty((big_t, h_dim))
-    hidden = np.empty((big_t, h_dim))
-
-    h = np.zeros(h_dim)
-    c = np.zeros(h_dim)
-    for t in range(big_t):
-        z = zx[t] + params.lstm_hidden_weights @ h
-        act = gates[t]
-        act[:] = _sigmoid(z)
-        act[gg] = np.tanh(z[gg])
-        c = act[gf] * c + act[gi] * act[gg]
-        cell[t] = c
-        tanh_cell[t] = np.tanh(c)
-        h = act[go] * tanh_cell[t]
-        hidden[t] = h
-
+    gates, cell, tanh_cell, hidden = (
+        a[:, 0] for a in _lstm(params, *_pack([_input_projection(params, x)])))
     emissions = hidden @ params.out_weights.T + params.out_bias
+    gi, gf, gg, go = (slice(b * h_dim, (b + 1) * h_dim) for b in range(4))
     tape = EncoderTape(x, token_ids, gates[:, gi], gates[:, gf], gates[:, gg],
                        gates[:, go], cell, tanh_cell, hidden)
     return emissions, tape
+
+
+def forward_group(params: EncoderParams, inputs: list) -> list[np.ndarray]:
+    """``forward``'s emissions for each input, sorted longest first, from one
+    packed LSTM loop; bit-identical to one ``forward`` call per input."""
+    xs = [_resolve_inputs(params, tokens)[0] for tokens in inputs]
+    hidden = _lstm(params, *_pack([_input_projection(params, x) for x in xs]))[3]
+    return [hidden[:len(x), lane] @ params.out_weights.T + params.out_bias
+            for lane, x in enumerate(xs)]
 
 
 def backward(params: EncoderParams, tape: EncoderTape,

@@ -16,18 +16,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crf import init_crf_params, nll_and_grad, nll_loss, viterbi_decode
+# nll_loss is not called here; it stays bound for code that reaches the CRF
+# loss through this module, as perfbench's tracer does
+from .crf import (init_crf_params, log_partitions, nll_and_grad, nll_loss,
+                  score_path, viterbi_paths)
 from .data import (_read, build_vocab, encode, encode_tags,
                    read_context_embeddings, read_corpus, read_meta_tags, split,
                    write_atomically)
-from .encoder import backward, forward, init_params
+from .encoder import backward, forward, forward_group, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
-from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, predicted_tags,
-                    save_checkpoint)
+from .model import MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, save_checkpoint
 from .optim import (OPTIMIZERS, OptimState, adam_step, clip_grads,
                     init_optim_state, lr_at, sgd_step)
 
 logger = logging.getLogger("semtagger")
+
+# Sentences that evaluation packs into one loop at most: bounds the packed
+# arrays, which hold a group's whole LSTM state.
+GROUP_SIZE = 32
 
 
 @dataclass
@@ -134,16 +140,20 @@ def load_experiment_configs(path) -> dict[int, ExperimentConfig]:
             raise ConfigError(f"sections [{sections[exp_id]}] and [{section}] "
                               f"both name experiment {exp_id}")
         sections[exp_id] = section
+        where = f"{path} [{section}]"
         kwargs = {"id": exp_id}
         for key, raw in parser[section].items():
             if key not in SETTINGS:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
+                raise ConfigError(f"{where}: unknown key {key!r}")
             try:
                 kwargs[key] = SETTINGS[key](raw)
             except ValueError:
                 raise ConfigError(
-                    f"bad value {raw!r} for {key!r} in [{section}]") from None
-        configs[exp_id] = ExperimentConfig(**kwargs)
+                    f"{where}: bad value {raw!r} for {key!r}") from None
+        try:
+            configs[exp_id] = ExperimentConfig(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if not configs:
         raise ConfigError(f"no [experiment N] sections found in {path}")
     return configs
@@ -204,17 +214,38 @@ def _step(model, sums, count, config, opt_state, lr):
     return opt_state
 
 
+def _decoded(model: TaggerModel, data):
+    """Yield ``(positions in data, emissions, Viterbi paths)`` per group of
+    at most GROUP_SIZE sentences, longest first (ties in data order), each
+    group run through one packed encoder and Viterbi loop."""
+    order = sorted(range(len(data)), key=lambda i: -len(data[i][0]))
+    for start in range(0, len(order), GROUP_SIZE):
+        group = order[start:start + GROUP_SIZE]
+        emissions = forward_group(model.encoder, [data[i][0] for i in group])
+        yield group, emissions, viterbi_paths(model.crf, emissions)
+
+
 def evaluate(model: TaggerModel, data) -> tuple[float, float]:
-    """(mean per-sentence NLL, Viterbi token accuracy) without touching params."""
+    """(mean per-sentence NLL, Viterbi token accuracy) without touching params.
+
+    Sentences run in packed, length-sorted groups; every loss and path is
+    bit-identical to scoring the sentence alone, and the losses are summed
+    in data order, so the result does not depend on the grouping.
+    """
     if not data:
         raise EmptyCorpusError("cannot evaluate on zero sentences")
-    loss_sum, correct, tokens = 0.0, 0, 0
-    for inputs, gold in data:
-        emissions, _ = forward(model.encoder, inputs)
-        loss_sum += nll_loss(model.crf, emissions, gold)
-        path, _ = viterbi_decode(model.crf, emissions)
-        correct += int(np.sum(path == gold))
-        tokens += gold.shape[0]
+    losses = [0.0] * len(data)
+    correct, tokens = 0, 0
+    for group, emissions, paths in _decoded(model, data):
+        log_zs = log_partitions(model.crf, emissions)
+        for i, e, path, log_z in zip(group, emissions, paths, log_zs):
+            gold = data[i][1]
+            losses[i] = log_z - score_path(model.crf, e, gold)
+            correct += int(np.sum(path == gold))
+            tokens += gold.shape[0]
+    loss_sum = 0.0
+    for loss in losses:  # a running sum: sum() compensates from Python 3.12
+        loss_sum += loss
     return loss_sum / len(data), correct / tokens
 
 
@@ -229,10 +260,11 @@ def evaluate_meta(model: TaggerModel, data) -> float | None:
         return None
     meta = [mapping.get(t, t) for t in model.tags.id_to_tag]
     correct, tokens = 0, 0
-    for inputs, gold in data:
-        path = predicted_tags(model, inputs)
-        correct += sum(meta[p] == meta[g] for p, g in zip(path, gold))
-        tokens += gold.shape[0]
+    for group, _, paths in _decoded(model, data):
+        for i, path in zip(group, paths):
+            gold = data[i][1]
+            correct += sum(meta[p] == meta[g] for p, g in zip(path, gold))
+            tokens += gold.shape[0]
     return correct / tokens
 
 

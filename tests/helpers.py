@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from semtagger import Sentence, nll_and_grad
+from semtagger.crf import _TINY as TINY
 from semtagger.crf import NEG_INF, CrfParams
 
 
@@ -159,3 +160,70 @@ def type_vectors(vocab_size: int, dim: int, seed: int) -> np.ndarray:
     """One fixed random vector per token type, standing in for precomputed
     contextual embeddings."""
     return np.random.default_rng(seed).normal(0.0, 1.0, size=(vocab_size, dim))
+
+
+# ---- one-sentence reference loops
+#
+# The encoder, the CRF forward pass and Viterbi run packed over groups of
+# sentences. These are the same recursions one sentence and one step at a
+# time, on plain vectors, with every operation in the same order; the packed
+# code must match them bit for bit.
+
+def loop_emissions(params, inputs) -> np.ndarray:
+    """Emissions (T, K) of one sentence (token ids or (T, D) vectors)."""
+    arr = np.asarray(inputs)
+    x = params.embedding[arr] if arr.ndim == 1 else arr.astype(np.float64)
+    h_dim = params.hidden_dim
+    gi, gf, gg, go = (slice(b * h_dim, (b + 1) * h_dim) for b in range(4))
+    zx = x @ params.lstm_input_weights.T + params.lstm_bias
+    h, c = np.zeros(h_dim), np.zeros(h_dim)
+    hidden = np.empty((len(x), h_dim))
+    for t in range(len(x)):
+        z = zx[t] + params.lstm_hidden_weights @ h
+        act = 0.5 * (1.0 + np.tanh(0.5 * z))
+        act[gg] = np.tanh(z[gg])
+        c = act[gf] * c + act[gi] * act[gg]
+        h = hidden[t] = act[go] * np.tanh(c)
+    return hidden @ params.out_weights.T + params.out_bias
+
+
+def _loop_logsumexp(x, axis=None):
+    top = np.max(x, axis=axis)
+    shift = top if axis is None else np.expand_dims(top, axis)
+    return top + np.log(np.exp(x - shift).sum(axis=axis))
+
+
+def loop_log_partition(params: CrfParams, emissions: np.ndarray) -> float:
+    """log Z by the scaled forward recursion, one matrix-vector product per
+    step, redoing underflowed columns in log space (see ``crf``)."""
+    k = params.num_tags
+    trans = params.transitions[:k, :k]
+    shift = trans.max(axis=0)
+    scaled = np.exp(trans - shift)
+    alpha = params.transitions[params.start, :k] + emissions[0]
+    for t in range(1, len(emissions)):
+        top = alpha.max()
+        sums = np.exp(alpha - top) @ scaled
+        low = sums < TINY
+        sums[low] = 1.0
+        row = top + shift + np.log(sums)
+        row[low] = _loop_logsumexp(alpha[:, None] + trans[:, low], axis=0)
+        alpha = row + emissions[t]
+    return float(_loop_logsumexp(alpha + params.transitions[:k, params.stop]))
+
+
+def loop_viterbi(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
+    """Best path by max-plus with backpointers, ties to the lowest tag."""
+    big_t, k = emissions.shape
+    trans = params.transitions[:k, :k]
+    pi = params.transitions[params.start, :k] + emissions[0]
+    bp = np.empty((big_t, k), dtype=np.intp)
+    for t in range(1, big_t):
+        cand = pi[:, None] + trans
+        bp[t] = cand.argmax(axis=0)
+        pi = cand[bp[t], np.arange(k)] + emissions[t]
+    path = np.empty(big_t, dtype=np.intp)
+    path[-1] = int((pi + params.transitions[:k, params.stop]).argmax())
+    for t in range(big_t - 1, 0, -1):
+        path[t - 1] = bp[t, path[t]]
+    return path

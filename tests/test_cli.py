@@ -302,7 +302,27 @@ def test_negative_seed_exits_one(tmp_path, corpus_file, capsys, command):
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: seed must be non-negative, got {seed}"]
+    # a value read from the INI file names the file and its section
+    where = f"{ini} [experiment 1]: " if command == "config" else ""
+    assert err == [f"error: {where}seed must be non-negative, got {seed}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("epochs = 0", "epochs must be positive, got 0"),
+    ("epoch = 3", "unknown key 'epoch'"),
+    ("epochs = two", "bad value 'two' for 'epochs'"),
+], ids=["out-of-range", "unknown-key", "unparsed"])
+def test_a_bad_row_names_its_file_and_section(tmp_path, corpus_file, capsys,
+                                              line, message):
+    # every section is built, so a bad row stops a run that selects another
+    ini = tmp_path / "g.ini"
+    ini.write_text(f"[experiment 1]\nepochs = 1\n\n[experiment 2]\n{line}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus_file), "--config", str(ini),
+                 "--experiment", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {ini} [experiment 2]: {message}"]
     assert not out.exists()
 
 

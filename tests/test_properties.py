@@ -1,10 +1,12 @@
-"""Hypothesis properties of the file formats and of the command line.
+"""Hypothesis properties of the file formats, of packed evaluation and of
+the command line.
 
 The formats are the corpus, the contextual-embedding file, the meta-tag map
 and the checkpoint archive: they round-trip, and malformed input raises a
-package error. On the command line, setting flags resolve to the config that
-they name, and no value of them ends ``train`` or ``replicate`` in a
-traceback.
+package error. Evaluation packs sentences into length-sorted groups, and
+gives the same bits as scoring them one at a time. On the command line,
+setting flags resolve to the config that they name, and no value of them
+ends ``train`` or ``replicate`` in a traceback.
 
 Every test runs with a fixed derivation of its examples (``derandomize``) and
 no example database, so the suite stays deterministic. Hypothesis still caches
@@ -26,16 +28,21 @@ from hypothesis import HealthCheck, configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import make_toy_corpus
-from semtagger import (NEG_INF, UNK_TOKEN, CheckpointError, DimensionError,
-                       EmbeddedSentence, ExperimentConfig, Sentence,
-                       SemtaggerError, TagSet, TaggerModel, Vocab,
-                       init_crf_params, init_params,
+from helpers import (TINY, loop_emissions, loop_log_partition, loop_viterbi,
+                     make_toy_corpus)
+from semtagger import (NEG_INF, UNK_ID, UNK_TOKEN, CheckpointError,
+                       DimensionError, DivergenceError, EmbeddedSentence,
+                       ExperimentConfig, Sentence, SemtaggerError, TagSet,
+                       TaggerModel, Vocab, build_model, build_vocab,
+                       encode_corpus, evaluate, forward, forward_group,
+                       init_crf_params, init_optim_state, init_params,
                        load_checkpoint, load_context_embeddings,
-                       load_meta_tags, parse_corpus,
-                       save_checkpoint, serialize_context_embeddings,
-                       serialize_corpus)
+                       load_meta_tags, log_partition, log_partitions,
+                       parse_corpus, save_checkpoint,
+                       serialize_context_embeddings, serialize_corpus,
+                       train_epoch, viterbi_paths)
 from semtagger.cli import _resolve_train_config, build_parser, main
+from semtagger.model import predicted_tags
 from semtagger.trainer import SETTINGS
 
 configuration.set_hypothesis_home_dir(
@@ -348,6 +355,115 @@ def test_edited_checkpoint_loads_or_raises_a_checkpoint_error(kind):
         assert isinstance(model, TaggerModel)
 
     check()
+
+
+# ---- packed evaluation
+
+def _tagset(k: int) -> TagSet:
+    tags = [f"t{i}" for i in range(k)]
+    return TagSet({t: i for i, t in enumerate(tags)}, tags)
+
+
+@st.composite
+def scored_sets(draw):
+    """A model of either mode, every dim at most 8, and 1-12 sentences of
+    1-12 tokens in drawn order, so lengths repeat and arrive unsorted.
+    Output weights of 0 (constant emissions) and rounded transitions make
+    Viterbi ties; large weights and transitions send some columns through
+    the log-space redo of underflowed sums."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, dim, hidden = (draw(st.integers(1, 8)) for _ in range(3))
+    vocab_size = draw(st.none() | st.integers(1, 8))
+    encoder = init_params(vocab_size, dim, hidden, k,
+                          seed=int(rng.integers(2**31)))
+    encoder.out_weights *= draw(st.sampled_from([0.0, 1.0, 50.0]))
+    encoder.out_bias = np.round(rng.normal(size=k))
+    crf = init_crf_params(k, seed=int(rng.integers(2**31)))
+    scale = draw(st.sampled_from([0.0, 1.0, 300.0]))
+    if scale:
+        crf.transitions[:k, :k] = np.round(rng.normal(size=(k, k)) * scale)
+    vocab = None
+    if vocab_size is not None:
+        tokens = [UNK_TOKEN] + [f"w{i}" for i in range(1, vocab_size)]
+        vocab = Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+    data = [(rng.normal(size=(n, dim)) * 3 if vocab is None
+             else rng.integers(0, vocab_size, size=n),
+             rng.integers(0, k, size=n)) for n in lengths]
+    return TaggerModel(encoder, crf, _tagset(k), vocab), data
+
+
+def _check_packed(model, data) -> None:
+    """evaluate on the whole set equals the in-order aggregate of evaluate on
+    each sentence, and every emission, log Z and path decoded in a group
+    equals the one-sentence reference loops and the public one-sentence
+    calls, bit for bit."""
+    singles = [evaluate(model, [sentence]) for sentence in data]
+    loss_sum = 0.0
+    for loss, _ in singles:
+        loss_sum += loss
+    correct = sum(round(acc * len(gold))
+                  for (_, acc), (_, gold) in zip(singles, data))
+    tokens = sum(len(gold) for _, gold in data)
+    assert evaluate(model, data) == (loss_sum / len(data), correct / tokens)
+
+    inputs = sorted((x for x, _ in data), key=len, reverse=True)
+    emissions = forward_group(model.encoder, inputs)
+    for x, e, log_z, path in zip(inputs, emissions,
+                                 log_partitions(model.crf, emissions),
+                                 viterbi_paths(model.crf, emissions)):
+        assert e.tobytes() == loop_emissions(model.encoder, x).tobytes()
+        assert e.tobytes() == forward(model.encoder, x)[0].tobytes()
+        assert log_z == loop_log_partition(model.crf, e)
+        assert log_z == log_partition(model.crf, e)
+        assert path.tolist() == loop_viterbi(model.crf, e).tolist()
+        assert path.tolist() == predicted_tags(model, x).tolist()
+
+
+@PROPERTY
+@given(scored_sets())
+def test_evaluation_does_not_depend_on_the_grouping(case):
+    _check_packed(*case)
+
+
+def test_underflowed_sums_in_one_lane_leave_the_others_alone():
+    # hidden 1: an all-zero input keeps h at 0, so emissions are the zero
+    # bias, while an input of 5 saturates the gates and puts +-800 h on two
+    # tags; off-diagonal transitions of -600 then underflow that sentence's
+    # scaled sums
+    k = 3
+    encoder = init_params(None, 1, 1, k, seed=0)
+    encoder.lstm_input_weights = np.ones((4, 1))
+    encoder.out_weights = np.array([[800.0], [-800.0], [0.0]])
+    crf = init_crf_params(k, seed=1)
+    crf.transitions[:k, :k] = np.where(np.eye(k, dtype=bool), 0.0, -600.0)
+    model = TaggerModel(encoder, crf, _tagset(k))
+    data = [(np.full((n, 1), x), np.arange(n) % k)
+            for n, x in ((4, 0.0), (2, 0.0), (5, 5.0), (7, 0.0), (5, 0.0))]
+
+    trans = crf.transitions[:k, :k]
+    scaled = np.exp(trans - trans.max(axis=0))
+    for (x, _), extreme in zip(data, (False, False, True, False, False)):
+        v = crf.transitions[crf.start, :k] + forward(encoder, x)[0][0]
+        assert ((np.exp(v - v.max()) @ scaled).min() < TINY) == extreme
+    _check_packed(model, data)
+
+
+def test_a_non_finite_emission_in_a_group_is_a_divergence():
+    # the unknown-token row is never trained on, so only the validation
+    # sentence that holds an unknown token scores NaN
+    train = make_toy_corpus(12, vocab_size=6, num_tags=3, seed=4, max_len=6)
+    vocab, tags = build_vocab(train)
+    config = ExperimentConfig(id=3, epochs=1, emb_dim=4, hidden_dim=3)
+    model = build_model(config, vocab, tags)
+    model.encoder.embedding[UNK_ID] = np.nan
+    val = encode_corpus(train[:4], vocab, tags)
+    val[2] = (np.r_[UNK_ID, val[2][0][1:]], val[2][1])
+    with pytest.raises(DivergenceError, match=(
+            "experiment 3 diverged in epoch 0, the end-of-epoch evaluation: "
+            "emissions must be finite")):
+        train_epoch(model, encode_corpus(train, vocab, tags), val, config, 0,
+                    init_optim_state(config.optimizer, model.tensors()))
 
 
 # ------------------------------------------------------------- command line

@@ -7,8 +7,17 @@ Runs the two golden runs of ``tests/test_golden.py`` (``golden_run`` and
 ``golden_external_run``) once on this repository's ``src`` and once on the
 given ``src`` directory, each tree in its own subprocess, and compares the
 ``curves.csv`` and ``checkpoint.npz`` they write. Both sides use this
-repository's test definitions. For each run and file it prints a mismatch
-count: the lines of ``curves.csv`` that differ, and the archive members of
+repository's test definitions.
+
+Evaluation writes no checkpoint and ``curves.csv`` rounds to six digits, so
+each child also scores the run's input file with the checkpoint it trained:
+``evaluate`` on 10 sentences at a time, one line per call with the
+``float.hex`` of the loss and the accuracy, then one line per sentence with
+its ``tag_tokens`` (token mode) or ``tag_vectors`` (vector mode) path. These
+lines go to ``eval.txt``.
+
+For each run and file it prints a mismatch count: the lines of
+``curves.csv`` or ``eval.txt`` that differ, and the archive members of
 ``checkpoint.npz`` whose bytes differ (1 if only the archive's own bytes do).
 Exits 0 when every count is 0 and 1 otherwise. BLAS runs on one thread in
 both children, so the two sides do the same arithmetic on one host.
@@ -26,16 +35,34 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = ("golden_run", "golden_external_run")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Writes each golden run's files under <work>/<run name>/run/.
+# Writes each golden run's files under <work>/<run name>/run/, and eval.txt
+# beside them. Uses only names the package has exported since the golden
+# runs were added, so an older tree runs it too.
 CHILD = """
 import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import test_golden
+from semtagger import (evaluate, load_checkpoint, read_context_embeddings,
+                       read_corpus, tag_tokens, tag_vectors)
+from semtagger.trainer import encode_for
 work = Path(sys.argv[2])
 for name in sys.argv[3:]:
     (work / name).mkdir()
     getattr(test_golden, name)(work / name)
+    run = work / name / "run"
+    model = load_checkpoint(run / "checkpoint.npz")
+    if model.vocab is not None:
+        sentences = read_corpus(work / name / "corpus.tsv")
+        tags = [tag_tokens(model, s.tokens) for s in sentences]
+    else:
+        sentences = read_context_embeddings(work / name / "vectors.txt")
+        tags = [tag_vectors(model, s.vectors) for s in sentences]
+    data = encode_for(model, sentences)
+    lines = [" ".join(float(v).hex() for v in evaluate(model, data[i:i + 10]))
+             for i in range(0, len(data), 10)]
+    lines += [" ".join(path) for path in tags]
+    (run / "eval.txt").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
 """
 
 
@@ -46,7 +73,7 @@ def run_tree(src: Path, work: Path) -> None:
                     str(work), *RUNS], env=env, check=True)
 
 
-def curves_mismatches(a: Path, b: Path) -> int:
+def lines_mismatches(a: Path, b: Path) -> int:
     lines_a = a.read_bytes().splitlines()
     lines_b = b.read_bytes().splitlines()
     return (sum(x != y for x, y in zip(lines_a, lines_b))
@@ -77,8 +104,9 @@ def main(argv=None) -> int:
             work.mkdir()
             run_tree(src, work)
         for name in RUNS:
-            for file, compare in (("curves.csv", curves_mismatches),
-                                  ("checkpoint.npz", checkpoint_mismatches)):
+            for file, compare in (("curves.csv", lines_mismatches),
+                                  ("checkpoint.npz", checkpoint_mismatches),
+                                  ("eval.txt", lines_mismatches)):
                 count = compare(here / name / "run" / file,
                                 there / name / "run" / file)
                 total += count
