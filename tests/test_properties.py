@@ -1,12 +1,14 @@
-"""Hypothesis properties of the file formats, of packed evaluation and of
-the command line.
+"""Hypothesis properties of the file formats, of packed evaluation, of the
+training step and of the command line.
 
 The formats are the corpus, the contextual-embedding file, the meta-tag map
 and the checkpoint archive: they round-trip, and malformed input raises a
 package error. Evaluation packs sentences into length-sorted groups, and
-gives the same bits as scoring them one at a time. On the command line,
-setting flags resolve to the config that they name, and no value of them
-ends ``train`` or ``replicate`` in a traceback.
+gives the same bits as scoring them one at a time. A training epoch leaves
+the parameters, the optimizer state and the metrics bit for bit where the
+one-sentence reference ``helpers.loop_train_epoch`` does. On the command
+line, setting flags resolve to the config that they name, and no value of
+them ends ``train`` or ``replicate`` in a traceback.
 
 Every test runs with a fixed derivation of its examples (``derandomize``) and
 no example database, so the suite stays deterministic. Hypothesis still caches
@@ -28,17 +30,17 @@ from hypothesis import HealthCheck, configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (TINY, loop_emissions, loop_log_partition, loop_viterbi,
-                     make_toy_corpus)
-from semtagger import (NEG_INF, UNK_ID, UNK_TOKEN, CheckpointError,
-                       DimensionError, DivergenceError, EmbeddedSentence,
-                       ExperimentConfig, Sentence, SemtaggerError, TagSet,
-                       TaggerModel, Vocab, build_model, build_vocab,
-                       encode_corpus, evaluate, forward, forward_group,
-                       init_crf_params, init_optim_state, init_params,
-                       load_checkpoint, load_context_embeddings,
-                       load_meta_tags, log_partition, log_partitions,
-                       parse_corpus, save_checkpoint,
+from helpers import (TINY, loop_emissions, loop_log_partition,
+                     loop_train_epoch, loop_viterbi, make_toy_corpus)
+from semtagger import (MODE_EXTERNAL, MODE_INTERNAL, NEG_INF, UNK_ID,
+                       UNK_TOKEN, CheckpointError, DimensionError,
+                       DivergenceError, EmbeddedSentence, ExperimentConfig,
+                       Sentence, SemtaggerError, TagSet, TaggerModel, Vocab,
+                       build_model, build_vocab, encode_corpus, evaluate,
+                       forward, forward_group, init_crf_params,
+                       init_optim_state, init_params, load_checkpoint,
+                       load_context_embeddings, load_meta_tags, log_partition,
+                       log_partitions, parse_corpus, save_checkpoint,
                        serialize_context_embeddings, serialize_corpus,
                        train_epoch, viterbi_paths)
 from semtagger.cli import _resolve_train_config, build_parser, main
@@ -464,6 +466,58 @@ def test_a_non_finite_emission_in_a_group_is_a_divergence():
             "emissions must be finite")):
         train_epoch(model, encode_corpus(train, vocab, tags), val, config, 0,
                     init_optim_state(config.optimizer, model.tensors()))
+
+
+# ---- the training step
+
+@st.composite
+def training_runs(draw):
+    """A fresh model of either mode with every dim at most 8, a config for
+    either optimizer with clipping off, sometimes on or always on, and 1-10
+    training plus 1-2 validation sentences of 1-8 tokens in drawn order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, dim, hidden = (draw(st.integers(1, 8)) for _ in range(3))
+    vocab_size = draw(st.none() | st.integers(1, 8))
+    config = ExperimentConfig(
+        optimizer=draw(st.sampled_from(["adam", "sgd"])),
+        epochs=draw(st.integers(1, 2)), batch_size=draw(st.integers(1, 5)),
+        emb_dim=dim, hidden_dim=hidden, seed=draw(st.integers(0, 2**16)),
+        embedding_mode=MODE_INTERNAL if vocab_size else MODE_EXTERNAL,
+        clip_norm=draw(st.sampled_from([None, 1.0, 1e-3])))
+    vocab = None
+    if vocab_size is not None:
+        tokens = [UNK_TOKEN] + [f"w{i}" for i in range(1, vocab_size)]
+        vocab = Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+    model = build_model(config, vocab, _tagset(k))
+
+    def sentences(max_size):
+        return [(rng.normal(size=(n, dim)) if vocab is None
+                 else rng.integers(0, vocab_size, size=n),
+                 rng.integers(0, k, size=n))
+                for n in draw(st.lists(st.integers(1, 8), min_size=1,
+                                       max_size=max_size))]
+    return model, config, sentences(10), sentences(2)
+
+
+@PROPERTY
+@given(training_runs())
+def test_training_matches_the_one_sentence_reference(case):
+    model, config, train, val = case
+    state = init_optim_state(config.optimizer, model.tensors())
+    params = {name: p.copy() for name, p in model.tensors().items()}
+    moments = (0, state.m, state.v) if config.optimizer == "adam" else None
+    for epoch in range(config.epochs):
+        metrics, state = train_epoch(model, train, val, config, epoch, state)
+        params, moments, want = loop_train_epoch(params, moments, train, val,
+                                                 config, epoch)
+        assert metrics == want
+        assert {n: p.tobytes() for n, p in model.tensors().items()} == {
+            n: p.tobytes() for n, p in params.items()}
+        if moments is not None:
+            assert state.step_count == moments[0]
+            for got, ref in ((state.m, moments[1]), (state.v, moments[2])):
+                assert {n: a.tobytes() for n, a in got.items()} == {
+                    n: a.tobytes() for n, a in ref.items()}
 
 
 # ------------------------------------------------------------- command line
