@@ -16,8 +16,8 @@ from .errors import ParseError, SemtaggerError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, load_checkpoint, tag_tokens,
                     tag_vectors)
 from .trainer import (OPTIMIZERS, SETTINGS, ExperimentConfig, encode_for,
-                      evaluate, evaluate_meta, load_experiment_configs,
-                      run_experiment, experiment_grid)
+                      evaluate, load_experiment_configs, run_experiment,
+                      experiment_grid)
 from .data import (Sentence, read_context_embeddings, read_corpus,
                    serialize_corpus)
 
@@ -165,10 +165,9 @@ def cmd_eval(args) -> int:
                 "this checkpoint takes vector input; pass --embeddings")
         sentences = read_context_embeddings(args.embeddings)
     data = encode_for(model, sentences)
-    loss, acc = evaluate(model, data)
+    loss, acc, meta_acc = evaluate(model, data, meta=True)
     print(f"loss={loss:.6g}")
     print(f"accuracy={acc:.6g}")
-    meta_acc = evaluate_meta(model, data)
     if meta_acc is not None:
         print(f"meta_accuracy={meta_acc:.6g}")
     return 0

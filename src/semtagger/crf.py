@@ -30,18 +30,19 @@ Conventions used throughout:
   lost digits to underflow and is recomputed in log space, which keeps the
   result exact for every finite transition matrix.
 
-* The forward sweep and Viterbi run packed: one loop over the time steps of
-  a group of sentences sorted longest first (see ``_pack``). At step ``t``
-  only the prefix of sentences still running is active, so no lane computes
-  past its sentence's end and a padded cell is never read. One sentence is a
-  group of one; there is no second per-sentence copy of either recursion.
-  Packing does not change a single bit. A stacked product such as
-  ``e[:, None, :] @ scaled`` runs one matrix-vector product per sentence
-  inside one numpy call, with the same BLAS kernel as ``e[i] @ scaled``
-  (a matrix-matrix product of the stacked rows would not: its blocking
-  moves the last bits). Max, argmax and every elementwise step treat each
-  lane on its own, and the per-sentence reductions (log Z's final
-  log-sum-exp, ``_score_path``) keep their one-sentence call shape.
+* The forward and backward sweeps and Viterbi run packed: one loop over the
+  time steps of a group of sentences sorted longest first (see ``_pack``).
+  At step ``t`` only the prefix of sentences still running is active, so no
+  lane computes past its sentence's end and a padded cell is never read.
+  One sentence is a group of one; there is no second per-sentence copy of
+  any recursion. Packing does not change a single bit. A stacked product
+  such as ``e[:, None, :] @ scaled`` runs one matrix-vector product per
+  sentence inside one numpy call, with the same BLAS kernel as
+  ``e[i] @ scaled`` (a matrix-matrix product of the stacked rows would not:
+  its blocking moves the last bits). Max, argmax and every elementwise step
+  treat each lane on its own, and the per-sentence work (log Z's final
+  log-sum-exp, the expected transition counts, the boundary rows,
+  ``_score_path``) keeps its one-sentence call shape.
 """
 
 from dataclasses import dataclass
@@ -288,29 +289,44 @@ def nll_and_grad(params: CrfParams, emissions: np.ndarray,
     STOP column of ``d_transitions`` carry the boundary terms; cells blocked
     by the sentinel convention are exactly 0.
     """
-    emissions = _check_emissions(params, emissions)
-    gold = _check_path(params, emissions, gold)
-    big_t, k = emissions.shape
-    ((alpha, log_z),) = _forward(params, [emissions])
+    return nll_and_grads(params, [emissions], [gold])[0]
+
+
+def nll_and_grads(params: CrfParams, emissions: list,
+                  golds: list) -> list[tuple[float, CrfGradients]]:
+    """``nll_and_grad`` of each emission matrix and gold path, sorted longest
+    first, from one packed alpha sweep and one packed beta sweep;
+    bit-identical to one call per sentence."""
+    emissions = [_check_emissions(params, e) for e in emissions]
+    golds = [_check_path(params, e, gold) for e, gold in zip(emissions, golds)]
+    k, start, stop = params.num_tags, params.start, params.stop
+    trans = params.transitions
     # beta[t, k]: log sum over suffixes given tag k at time t, excluding the
     # emission at t; the forward sweep run right to left through trans.T
-    beta = _sweep(params.transitions[:k, params.stop], [emissions[::-1]],
-                  params.transitions[:k, :k].T)[::-1, 0]
-    unary = np.exp(alpha + beta - log_z)
+    betas = _sweep(trans[:k, stop], [e[::-1] for e in emissions],
+                   trans[:k, :k].T)
+    out = []
+    for lane, (e, gold, (alpha, log_z)) in enumerate(
+            zip(emissions, golds, _forward(params, emissions))):
+        big_t = len(e)
+        beta = betas[:big_t, lane][::-1]
+        unary = np.exp(alpha + beta - log_z)
 
-    d_trans = np.zeros_like(params.transitions)
-    if big_t > 1:
-        d_trans[:k, :k] = _expected_transitions(
-            params.transitions[:k, :k], alpha, emissions[1:] + beta[1:], log_z)
-        np.subtract.at(d_trans, (gold[:-1], gold[1:]), 1.0)
-    d_trans[params.start, :k] = unary[0]
-    d_trans[params.start, gold[0]] -= 1.0
-    d_trans[:k, params.stop] = unary[-1]
-    d_trans[gold[-1], params.stop] -= 1.0
+        d_trans = np.zeros_like(trans)
+        if big_t > 1:
+            d_trans[:k, :k] = _expected_transitions(
+                trans[:k, :k], alpha, e[1:] + beta[1:], log_z)
+            np.subtract.at(d_trans, (gold[:-1], gold[1:]), 1.0)
+        d_trans[start, :k] = unary[0]
+        d_trans[start, gold[0]] -= 1.0
+        d_trans[:k, stop] = unary[-1]
+        d_trans[gold[-1], stop] -= 1.0
 
-    unary[np.arange(big_t), gold] -= 1.0
-    loss = log_z - _score_path(params, emissions, gold)
-    return loss, CrfGradients(d_transitions=d_trans, d_emissions=unary)
+        unary[np.arange(big_t), gold] -= 1.0
+        loss = log_z - _score_path(params, e, gold)
+        out.append((loss, CrfGradients(d_transitions=d_trans,
+                                       d_emissions=unary)))
+    return out
 
 
 def _viterbi(params: CrfParams, emissions: list[np.ndarray]) -> list[np.ndarray]:

@@ -15,16 +15,17 @@ Two input modes share the same LSTM stack:
 Gate layout in the stacked LSTM weights is fixed as four (H, ...) blocks in
 the order: input gate, forget gate, candidate, output gate.
 
-The recurrence is one packed loop (``_lstm``) over a group of sentences
-sorted longest first, laid out time-major by ``crf._pack``. At step ``t``
-only the prefix of sentences still running is active (``h = h[:n_t]``), so
-no lane computes past its sentence's end. ``forward`` runs it on a group of
-one; ``forward_group`` on many. Both give the same bits: the recurrent
-product ``W_h @ h[:, :, None]`` is one matrix-vector product per sentence
-inside one numpy call, the same BLAS kernel as ``W_h @ h`` (the rows of a
-matrix-matrix product ``h @ W_h.T`` would differ in the last bits), and the
-gates are elementwise. The input and output layers stay one matrix product
-per sentence, with the shapes of the unpacked code.
+Both recurrences run packed over a group of sentences sorted longest first,
+laid out time-major by ``crf._pack``; one sentence is a group of one. At
+step ``t`` only the prefix of sentences still running is active, so no lane
+computes past its sentence's end; backpropagation through time runs from
+the last step down, and a lane joins it at its own last step. Packing gives
+the same bits: the recurrent products ``W_h @ h[:, :, None]`` and
+``W_h.T @ dz[:, :, None]`` are one matrix-vector product per sentence inside
+one numpy call, the same BLAS kernel as ``W_h @ h`` and ``W_h.T @ dz`` (a
+matrix-matrix product such as ``dz @ W_h`` would differ in the last bits),
+and the gates are elementwise. The input and output layers and the weight
+gradients stay one product or reduction per sentence, as unpacked.
 """
 
 from dataclasses import dataclass, fields
@@ -92,21 +93,22 @@ class EncoderParams:
 
 @dataclass
 class EncoderTape:
-    """Per-step activations cached by ``forward`` for the backward pass.
+    """Activations of one packed forward pass, cached for the backward pass.
 
-    Replaying ``forward(params, tape.inputs)`` reproduces the emissions
-    bit-for-bit (the stored inputs are the post-lookup vectors).
+    The group is sorted longest first and the arrays are time-major
+    ``(T_max, n, ...)`` as ``crf._pack`` lays them out; ``active[t]`` lanes
+    run at step ``t``. ``forward``'s tape is a group of one. Replaying
+    ``forward(params, tape.inputs[0])`` reproduces the emissions bit for bit
+    (the stored inputs are the post-lookup vectors).
     """
 
-    inputs: np.ndarray          # (T, D) embedded / external input vectors
-    token_ids: np.ndarray | None  # (T,) or None in vector mode
-    gate_i: np.ndarray          # (T, H) input gate, post-sigmoid
-    gate_f: np.ndarray          # (T, H) forget gate, post-sigmoid
-    gate_g: np.ndarray          # (T, H) candidate, post-tanh
-    gate_o: np.ndarray          # (T, H) output gate, post-sigmoid
-    cell: np.ndarray            # (T, H) c_t
-    tanh_cell: np.ndarray       # (T, H) tanh(c_t)
-    hidden: np.ndarray          # (T, H) h_t
+    inputs: list[np.ndarray]              # per sentence (T, D) input vectors
+    token_ids: list[np.ndarray | None]    # per sentence (T,), None in vector mode
+    gates: np.ndarray       # (T_max, n, 4H) post-activation gates i, f, g, o
+    cell: np.ndarray        # (T_max, n, H) c_t
+    tanh_cell: np.ndarray   # (T_max, n, H) tanh(c_t)
+    hidden: np.ndarray      # (T_max, n, H) h_t
+    active: list[int]       # lanes running at each step
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
@@ -199,8 +201,19 @@ def _lstm(params: EncoderParams, zx: np.ndarray, active: list[int]):
     return zx, cell, tanh_cell, hidden
 
 
-def _input_projection(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    return x @ params.lstm_input_weights.T + params.lstm_bias  # (T, 4H)
+def forward_taped(params: EncoderParams,
+                  inputs: list) -> tuple[list[np.ndarray], EncoderTape]:
+    """Emissions (T, K) of each input, sorted longest first, and the tape of
+    the one packed LSTM loop that made them; bit-identical to one
+    ``forward`` call per input."""
+    xs, token_ids = zip(*(_resolve_inputs(params, tokens) for tokens in inputs))
+    zx, active = _pack([x @ params.lstm_input_weights.T + params.lstm_bias
+                        for x in xs])
+    gates, cell, tanh_cell, hidden = _lstm(params, zx, active)
+    emissions = [hidden[:len(x), lane] @ params.out_weights.T + params.out_bias
+                 for lane, x in enumerate(xs)]
+    return emissions, EncoderTape(list(xs), list(token_ids), gates, cell,
+                                  tanh_cell, hidden, active)
 
 
 def forward(params: EncoderParams, tokens) -> tuple[np.ndarray, EncoderTape]:
@@ -208,24 +221,65 @@ def forward(params: EncoderParams, tokens) -> tuple[np.ndarray, EncoderTape]:
 
     Hidden and cell state start at zero. ``emissions[t] = W_out h_t + b_out``.
     """
-    x, token_ids = _resolve_inputs(params, tokens)
-    h_dim = params.hidden_dim
-    gates, cell, tanh_cell, hidden = (
-        a[:, 0] for a in _lstm(params, *_pack([_input_projection(params, x)])))
-    emissions = hidden @ params.out_weights.T + params.out_bias
-    gi, gf, gg, go = (slice(b * h_dim, (b + 1) * h_dim) for b in range(4))
-    tape = EncoderTape(x, token_ids, gates[:, gi], gates[:, gf], gates[:, gg],
-                       gates[:, go], cell, tanh_cell, hidden)
+    (emissions,), tape = forward_taped(params, [tokens])
     return emissions, tape
 
 
 def forward_group(params: EncoderParams, inputs: list) -> list[np.ndarray]:
     """``forward``'s emissions for each input, sorted longest first, from one
     packed LSTM loop; bit-identical to one ``forward`` call per input."""
-    xs = [_resolve_inputs(params, tokens)[0] for tokens in inputs]
-    hidden = _lstm(params, *_pack([_input_projection(params, x) for x in xs]))[3]
-    return [hidden[:len(x), lane] @ params.out_weights.T + params.out_bias
-            for lane, x in enumerate(xs)]
+    return forward_taped(params, inputs)[0]
+
+
+def backward_group(params: EncoderParams, tape: EncoderTape,
+                   d_emissions: list[np.ndarray]):
+    """One packed BPTT loop over ``tape``'s group, given each lane's
+    d(loss)/d(emissions). Returns ``grads(lane)``, which makes that lane's
+    gradients anew, bit for bit as ``backward`` gives them, by tensor name;
+    the embedding's is row-sparse: ``(rows, block)``, the sentence's distinct
+    ids and the gradient of those table rows."""
+    h_dim = params.hidden_dim
+    gi, gf, gg, go = (slice(b * h_dim, (b + 1) * h_dim) for b in range(4))
+    dh_emit = _pack([d @ params.out_weights for d in d_emissions])[0]
+    # lane-major, so each lane's (T, 4H) block is contiguous for its gemms
+    dz = np.empty((len(d_emissions), len(tape.active), 4 * h_dim))
+    dh_rec = np.zeros(dh_emit.shape[1:])
+    dc_rec = np.zeros(dh_emit.shape[1:])
+    w_h_t = params.lstm_hidden_weights.T
+    for t in range(len(tape.active) - 1, -1, -1):
+        m = tape.active[t]  # only the first m lanes run at step t
+        act, tanh_c = tape.gates[t, :m], tape.tanh_cell[t, :m]
+        i, f, g, o = act[:, gi], act[:, gf], act[:, gg], act[:, go]
+        c_prev = tape.cell[t - 1, :m] if t > 0 else np.zeros((m, h_dim))
+        dh = dh_emit[t, :m] + dh_rec[:m]
+        dc = dc_rec[:m] + dh * o * (1.0 - tanh_c ** 2)
+        dz_t = dz[:m, t]
+        dz_t[:, gi] = dc * g * i * (1.0 - i)
+        dz_t[:, gf] = dc * c_prev * f * (1.0 - f)
+        dz_t[:, gg] = dc * i * (1.0 - g ** 2)
+        dz_t[:, go] = dh * tanh_c * o * (1.0 - o)
+        dh_rec[:m] = (w_h_t @ dz_t[:, :, None])[:, :, 0]
+        dc_rec[:m] = dc * f
+
+    def grads(lane: int) -> dict:
+        x, ids, d_em = tape.inputs[lane], tape.token_ids[lane], d_emissions[lane]
+        dz_lane = dz[lane, :len(x)]
+        # h_0 = 0, then the lane's hidden states, contiguous as unpacked
+        states = np.vstack([np.zeros((1, h_dim)), tape.hidden[:len(x), lane]])
+        h_prev, hidden = states[:-1], states[1:]
+        out = {}
+        if ids is not None:
+            rows, inverse = np.unique(ids, return_inverse=True)
+            block = np.zeros((len(rows), x.shape[1]))
+            np.add.at(block, inverse, dz_lane @ params.lstm_input_weights)
+            out["embedding"] = rows, block
+        out["lstm_input_weights"] = dz_lane.T @ x
+        out["lstm_hidden_weights"] = dz_lane.T @ h_prev
+        out["lstm_bias"] = dz_lane.sum(axis=0)
+        out["out_weights"] = d_em.T @ hidden
+        out["out_bias"] = d_em.sum(axis=0)
+        return out
+    return grads
 
 
 def backward(params: EncoderParams, tape: EncoderTape,
@@ -238,8 +292,9 @@ def backward(params: EncoderParams, tape: EncoderTape,
     rows of tokens present in the sentence. In vector mode the inputs are
     data, so no gradient is taken with respect to them.
     """
-    big_t, h_dim = tape.hidden.shape
-    if h_dim != params.hidden_dim or tape.inputs.shape[1] != params.input_dim:
+    big_t, n, h_dim = tape.hidden.shape
+    if (n != 1 or h_dim != params.hidden_dim
+            or tape.inputs[0].shape[1] != params.input_dim):
         raise DimensionError("tape does not match encoder parameter shapes")
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     if d_emissions.shape != (big_t, params.num_tags):
@@ -247,33 +302,9 @@ def backward(params: EncoderParams, tape: EncoderTape,
             f"d_emissions must have shape {(big_t, params.num_tags)}, "
             f"got {d_emissions.shape}"
         )
-
-    d_out_w = d_emissions.T @ tape.hidden
-    d_out_b = d_emissions.sum(axis=0)
-    dh_emit = d_emissions @ params.out_weights  # (T, H)
-
-    i, f, g, o = tape.gate_i, tape.gate_f, tape.gate_g, tape.gate_o
-    dz = np.empty((big_t, 4 * h_dim))
-    dh_rec = np.zeros(h_dim)
-    dc_rec = np.zeros(h_dim)
-    for t in range(big_t - 1, -1, -1):
-        c_prev = tape.cell[t - 1] if t > 0 else np.zeros(h_dim)
-        dh = dh_emit[t] + dh_rec
-        dc = dc_rec + dh * o[t] * (1.0 - tape.tanh_cell[t] ** 2)
-        dz[t, :h_dim] = dc * g[t] * i[t] * (1.0 - i[t])
-        dz[t, h_dim:2 * h_dim] = dc * c_prev * f[t] * (1.0 - f[t])
-        dz[t, 2 * h_dim:3 * h_dim] = dc * i[t] * (1.0 - g[t] ** 2)
-        dz[t, 3 * h_dim:] = dh * tape.tanh_cell[t] * o[t] * (1.0 - o[t])
-        dh_rec = params.lstm_hidden_weights.T @ dz[t]
-        dc_rec = dc * f[t]
-
-    h_prev = np.vstack([np.zeros((1, h_dim)), tape.hidden[:-1]])
-    d_w_x = dz.T @ tape.inputs
-    d_w_h = dz.T @ h_prev
-    d_bias = dz.sum(axis=0)
-
-    d_embedding = None
-    if tape.token_ids is not None:
-        d_embedding = np.zeros_like(params.embedding)
-        np.add.at(d_embedding, tape.token_ids, dz @ params.lstm_input_weights)
-    return EncoderParams(d_embedding, d_w_x, d_w_h, d_bias, d_out_w, d_out_b)
+    grads = backward_group(params, tape, [d_emissions])(0)
+    if "embedding" in grads:
+        rows, block = grads["embedding"]
+        grads["embedding"] = np.zeros_like(params.embedding)
+        grads["embedding"][rows] = block
+    return EncoderParams(**{"embedding": None, **grads})

@@ -72,7 +72,8 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     if lr <= 0:
         raise ConfigError(f"lr must be positive, got {lr}")
     _check_shapes(params, grads)
-    return {name: params[name] - lr * grads[name] for name in params}
+    return {name: np.subtract(p, (step := lr * grads[name]), out=step)
+            for name, p in params.items()}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -90,22 +91,39 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     new_params, new_m, new_v = {}, {}, {}
+    # the formulas rounded as written, with one temporary per tensor besides
+    # the three fresh arrays returned
     for name, p in params.items():
         g = grads[name]
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        new_m[name] = m
-        new_v[name] = v
-        new_params[name] = p - lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        tmp = np.multiply(1.0 - b1, g)
+        m = new_m[name] = np.multiply(b1, state.m[name])
+        m += tmp
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v = new_v[name] = np.multiply(b2, state.v[name])
+        v += tmp
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = new_params[name] = np.divide(m, bias1)
+        step *= lr
+        step /= tmp
+        np.subtract(p, step, out=step)
     return new_params, OptimState(kind="adam", step_count=t, m=new_m, v=new_v)
 
 
-def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_grads(grads: dict[str, np.ndarray], max_norm: float,
+               inplace: bool = False) -> dict[str, np.ndarray]:
+    """Scale all gradients so their global L2 norm is at most max_norm: into
+    fresh arrays, or with ``inplace`` into ``grads``' own, which it returns."""
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm:
         return grads
     scale = max_norm / total
+    if inplace:
+        for g in grads.values():
+            g *= scale
+        return grads
     return {name: g * scale for name, g in grads.items()}

@@ -1,8 +1,10 @@
 """Training loop, evaluation, the built-in experiment grid, and curve export.
 
-Training processes one sentence at a time (no padding); a batch of size B is
-B consecutive sentences whose gradients are averaged before a single optimizer
-step. A trailing partial batch still steps, averaged over its own size.
+A batch of size B is B consecutive sentences whose gradients are averaged
+before a single optimizer step; a trailing partial batch still steps,
+averaged over its own size. The batch runs as one packed pass (no padding,
+see ``batch_loss_and_grads``) whose per-sentence gradients, added up in batch
+order, are bit for bit those of one sentence at a time.
 Epoch-level shuffling, parameter init and the train/val split are all seeded,
 so a rerun with the same inputs reproduces the curves byte for byte.
 """
@@ -18,12 +20,13 @@ import numpy as np
 
 # nll_loss is not called here; it stays bound for code that reaches the CRF
 # loss through this module, as perfbench's tracer does
-from .crf import (init_crf_params, log_partitions, nll_and_grad, nll_loss,
-                  score_path, viterbi_paths)
+from .crf import (init_crf_params, log_partitions, nll_and_grad, nll_and_grads,
+                  nll_loss, score_path, viterbi_paths)
 from .data import (_read, build_vocab, encode, encode_tags,
                    read_context_embeddings, read_corpus, read_meta_tags, split,
                    write_atomically)
-from .encoder import backward, forward, forward_group, init_params
+from .encoder import (backward, backward_group, forward, forward_group,
+                      forward_taped, init_params)
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, save_checkpoint
 from .optim import (OPTIMIZERS, OptimState, adam_step, clip_grads,
@@ -201,52 +204,78 @@ def sentence_loss_and_grads(model: TaggerModel, inputs,
     return loss, grads
 
 
+def batch_loss_and_grads(model: TaggerModel, batch):
+    """Yield ``sentence_loss_and_grads`` of each ``(inputs, gold)`` in batch
+    order, from one packed pass over the batch sorted longest first, with a
+    row-sparse embedding gradient (see ``encoder.backward_group``). Each
+    sentence's gradients are made at its turn, so one sentence's are held at
+    a time."""
+    lanes = sorted(range(len(batch)), key=lambda i: -len(batch[i][0]))
+    emissions, tape = forward_taped(model.encoder, [batch[i][0] for i in lanes])
+    scored = nll_and_grads(model.crf, emissions, [batch[i][1] for i in lanes])
+    lane_grads = backward_group(model.encoder, tape,
+                                [crf_grads.d_emissions for _, crf_grads in scored])
+    for lane in np.argsort(lanes):
+        loss, crf_grads = scored[lane]
+        grads = lane_grads(lane)
+        grads["crf_transitions"] = crf_grads.d_transitions
+        yield loss, grads
+
+
 def _step(model, sums, count, config, opt_state, lr):
-    grads = {k: v / count for k, v in sums.items()}
+    """One optimizer step on the mean of the summed gradients; ``sums`` is
+    the trainer's own and is overwritten."""
+    for grad in sums.values():
+        grad /= count
     if config.clip_norm is not None:
-        grads = clip_grads(grads, config.clip_norm)
+        clip_grads(sums, config.clip_norm, inplace=True)
     params = model.tensors()
     if config.optimizer == "adam":
-        params, opt_state = adam_step(params, grads, opt_state, lr)
+        params, opt_state = adam_step(params, sums, opt_state, lr)
     else:
-        params = sgd_step(params, grads, lr)
+        params = sgd_step(params, sums, lr)
     model.set_tensors(params)
     return opt_state
 
 
-def _decoded(model: TaggerModel, data):
-    """Yield ``(positions in data, emissions, Viterbi paths)`` per group of
-    at most GROUP_SIZE sentences, longest first (ties in data order), each
-    group run through one packed encoder and Viterbi loop."""
+def evaluate(model: TaggerModel, data, meta: bool = False):
+    """(mean per-sentence NLL, Viterbi token accuracy) without touching
+    params; with ``meta``, a third item from the same decode: the
+    ``evaluate_meta`` accuracy.
+
+    Sentences run in packed groups of at most GROUP_SIZE, longest first
+    (ties in data order), each through one encoder and Viterbi loop; every
+    loss and path is bit-identical to scoring the sentence alone, and the
+    losses are summed in data order, so the result does not depend on the
+    grouping.
+    """
+    if not data:
+        raise EmptyCorpusError("cannot evaluate on zero sentences")
+    mapping = model.tags.meta_tags if meta else None
+    rollup = [mapping.get(t, t) for t in model.tags.id_to_tag] if mapping else None
+    losses = [0.0] * len(data)
+    correct = meta_correct = tokens = 0
     order = sorted(range(len(data)), key=lambda i: -len(data[i][0]))
     for start in range(0, len(order), GROUP_SIZE):
         group = order[start:start + GROUP_SIZE]
         emissions = forward_group(model.encoder, [data[i][0] for i in group])
-        yield group, emissions, viterbi_paths(model.crf, emissions)
-
-
-def evaluate(model: TaggerModel, data) -> tuple[float, float]:
-    """(mean per-sentence NLL, Viterbi token accuracy) without touching params.
-
-    Sentences run in packed, length-sorted groups; every loss and path is
-    bit-identical to scoring the sentence alone, and the losses are summed
-    in data order, so the result does not depend on the grouping.
-    """
-    if not data:
-        raise EmptyCorpusError("cannot evaluate on zero sentences")
-    losses = [0.0] * len(data)
-    correct, tokens = 0, 0
-    for group, emissions, paths in _decoded(model, data):
+        paths = viterbi_paths(model.crf, emissions)
         log_zs = log_partitions(model.crf, emissions)
         for i, e, path, log_z in zip(group, emissions, paths, log_zs):
             gold = data[i][1]
             losses[i] = log_z - score_path(model.crf, e, gold)
             correct += int(np.sum(path == gold))
+            if rollup:
+                meta_correct += sum(rollup[p] == rollup[g]
+                                    for p, g in zip(path, gold))
             tokens += gold.shape[0]
     loss_sum = 0.0
     for loss in losses:  # a running sum: sum() compensates from Python 3.12
         loss_sum += loss
-    return loss_sum / len(data), correct / tokens
+    scores = loss_sum / len(data), correct / tokens
+    if not meta:
+        return scores
+    return scores + (meta_correct / tokens if rollup else None,)
 
 
 def evaluate_meta(model: TaggerModel, data) -> float | None:
@@ -255,17 +284,7 @@ def evaluate_meta(model: TaggerModel, data) -> float | None:
     Returns None when the model carries no meta-tag map. Tags absent from the
     map fall back to themselves, i.e. they form singleton meta classes.
     """
-    mapping = model.tags.meta_tags
-    if not mapping:
-        return None
-    meta = [mapping.get(t, t) for t in model.tags.id_to_tag]
-    correct, tokens = 0, 0
-    for group, _, paths in _decoded(model, data):
-        for i, path in zip(group, paths):
-            gold = data[i][1]
-            correct += sum(meta[p] == meta[g] for p, g in zip(path, gold))
-            tokens += gold.shape[0]
-    return correct / tokens
+    return evaluate(model, data, meta=True)[2]
 
 
 def train_epoch(model: TaggerModel, train_data, val_data,
@@ -282,6 +301,9 @@ def train_epoch(model: TaggerModel, train_data, val_data,
 
     size = config.batch_size
     batches = -(-len(order) // size)
+    # Gradients are added into zeros, never copied in: 0.0 + -0.0 is +0.0, so
+    # the sums hold no -0.0, and skipping the embedding rows a sentence does
+    # not touch (adding 0.0 to them) leaves every bit as it is.
     sums = {k: np.zeros_like(v) for k, v in model.tensors().items()}
     # A diverging run overflows on its way to a non-finite score. The
     # finiteness checks on emissions and transitions turn that into one
@@ -289,15 +311,17 @@ def train_epoch(model: TaggerModel, train_data, val_data,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(batches):
-                batch = order[step * size:(step + 1) * size]
-                for i in batch:
-                    inputs, gold = train_data[i]
-                    _, grads = sentence_loss_and_grads(model, inputs, gold)
-                    for key in sums:
-                        sums[key] += grads[key]
+                batch = [train_data[i] for i in order[step * size:(step + 1) * size]]
+                for _, grads in batch_loss_and_grads(model, batch):
+                    for key, grad in grads.items():
+                        if key == "embedding":
+                            rows, block = grad
+                            sums[key][rows] += block
+                        else:
+                            sums[key] += grad
                 opt_state = _step(model, sums, len(batch), config, opt_state, lr)
-                for key in sums:
-                    sums[key].fill(0.0)
+                for grad in sums.values():
+                    grad.fill(0.0)
             step = batches  # past the last batch: evaluating
             train_loss, train_acc = evaluate(model, train_data)
             val_loss, val_acc = evaluate(model, val_data)

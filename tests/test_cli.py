@@ -22,6 +22,7 @@ from semtagger import (
     serialize_corpus,
 )
 from semtagger.cli import main
+from semtagger import trainer as trainer_module
 from semtagger.data import EmbeddedSentence
 from semtagger.trainer import SETTINGS
 
@@ -447,6 +448,27 @@ def test_meta_tags_flow_through_training(tmp_path, corpus_file, capsys):
     coarse = float([l for l in stdout.splitlines()
                     if l.startswith("meta_accuracy=")][0].split("=")[1])
     assert coarse >= fine  # rollup can only merge classes
+
+
+def test_eval_decodes_the_file_once(tmp_path, monkeypatch, capsys):
+    # the loss, the accuracy and the meta rollup come from one decode: 40
+    # sentences in groups of at most 32 are 2 packed encoder calls, not 4
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(serialize_corpus(
+        make_toy_corpus(40, vocab_size=8, num_tags=3, seed=12)))
+    meta = tmp_path / "meta.tsv"
+    meta.write_text("t0\tEVEN\nt1\tODD\nt2\tEVEN\n")
+    out = tmp_path / "run"
+    assert main(train_args(corpus, out, extra=["--meta-tags", str(meta)])) == 0
+    calls = []
+    real = trainer_module.forward_group
+    monkeypatch.setattr(trainer_module, "forward_group", lambda params, inputs:
+                        calls.append(len(inputs)) or real(params, inputs))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                 "--corpus", str(corpus)]) == 0
+    assert "meta_accuracy=" in capsys.readouterr().out
+    assert calls == [32, 8]
 
 
 def package_env() -> dict[str, str]:

@@ -62,10 +62,11 @@ def test_zero_weights_fixed_point():
     assert np.all(emissions == 0.0)
     assert np.all(tape.hidden == 0.0)
     assert np.all(tape.cell == 0.0)
-    assert np.all(tape.gate_i == 0.5)
-    assert np.all(tape.gate_f == 0.5)
-    assert np.all(tape.gate_o == 0.5)
-    assert np.all(tape.gate_g == 0.0)
+    gate_i, gate_f, gate_g, gate_o = np.split(tape.gates, 4, axis=2)
+    assert np.all(gate_i == 0.5)
+    assert np.all(gate_f == 0.5)
+    assert np.all(gate_o == 0.5)
+    assert np.all(gate_g == 0.0)
 
 
 def test_single_step_by_hand():
@@ -84,8 +85,8 @@ def test_single_step_by_hand():
 
     emissions, tape = forward(p, x)
     assert math.isclose(emissions[0, 0], want, rel_tol=1e-12)
-    assert math.isclose(tape.cell[0, 0], c, rel_tol=1e-12)
-    assert math.isclose(tape.gate_f[0, 0], sig(0.25), rel_tol=1e-12)
+    assert math.isclose(tape.cell[0, 0, 0], c, rel_tol=1e-12)
+    assert math.isclose(tape.gates[0, 0, 1], sig(0.25), rel_tol=1e-12)
 
 
 def test_token_and_vector_modes_agree():
@@ -107,7 +108,7 @@ def test_token_and_vector_modes_agree():
 def test_tape_replay_reproduces_emissions():
     p = init_params(6, 3, 4, 2, seed=8)
     emissions, tape = forward(p, np.array([1, 4, 4, 3]))
-    again, _ = forward(p, tape.inputs)
+    again, _ = forward(p, tape.inputs[0])
     assert np.array_equal(emissions, again)
 
 

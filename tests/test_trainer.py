@@ -196,7 +196,7 @@ def test_divergence_names_the_batch_step_or_the_evaluation(monkeypatch):
     config = ExperimentConfig(id=4, optimizer="sgd", emb_dim=4, hidden_dim=3,
                               epochs=1, batch_size=2, seed=5)
     model, data, _ = tiny_setup(n=5, config=config)
-    real = trainer_module.sentence_loss_and_grads
+    real = trainer_module.batch_loss_and_grads
 
     def diverge(*args):
         raise DivergenceError("emissions must be finite")
@@ -209,11 +209,12 @@ def test_divergence_names_the_batch_step_or_the_evaluation(monkeypatch):
             return diverge() if len(calls) == n else real(*args)
         return fake
 
-    # 5 sentences in batches of 2: sentences 1-2, 3-4, then a trailing 5
-    for call, where in ((1, "batch step 1 of 3"), (4, "batch step 2 of 3"),
-                        (5, "batch step 3 of 3"),
-                        (6, "the end-of-epoch evaluation")):
-        monkeypatch.setattr(trainer_module, "sentence_loss_and_grads",
+    # 5 sentences in batches of 2: sentences 1-2, 3-4, then a trailing 5,
+    # each batch one packed call
+    for call, where in ((1, "batch step 1 of 3"), (2, "batch step 2 of 3"),
+                        (3, "batch step 3 of 3"),
+                        (4, "the end-of-epoch evaluation")):
+        monkeypatch.setattr(trainer_module, "batch_loss_and_grads",
                             diverge_on_call(call))
         monkeypatch.setattr(trainer_module, "evaluate", diverge)
         with pytest.raises(DivergenceError) as err:
@@ -221,6 +222,27 @@ def test_divergence_names_the_batch_step_or_the_evaluation(monkeypatch):
                         init_optim_state("sgd", model.tensors()))
         assert str(err.value) == (f"experiment 4 diverged in epoch 0, {where}: "
                                   "emissions must be finite")
+
+
+def test_a_non_finite_emission_in_a_packed_lane_moves_no_parameter():
+    # one batch of 5 sentences of distinct lengths, so the 5-token sentence
+    # runs in the 3rd lane whatever the shuffle; a NaN in its input vectors
+    # makes only its emissions non-finite
+    config = ExperimentConfig(id=2, optimizer="sgd", emb_dim=3, hidden_dim=4,
+                              epochs=1, batch_size=5, seed=7,
+                              embedding_mode=MODE_EXTERNAL)
+    rng = np.random.default_rng(0)
+    data = [(rng.normal(size=(n, 3)), np.arange(n) % 2) for n in (3, 7, 5, 4, 6)]
+    data[2][0][1, 0] = np.nan
+    tags = build_vocab([Sentence(["a", "b"], ["t0", "t1"])])[1]
+    model = build_model(config, None, tags)
+    before = {name: p.tobytes() for name, p in model.tensors().items()}
+    with pytest.raises(DivergenceError) as err:
+        train_epoch(model, data, data[:1], config, 0,
+                    init_optim_state("sgd", model.tensors()))
+    assert str(err.value) == ("experiment 2 diverged in epoch 0, batch step 1 "
+                              "of 1: emissions must be finite")
+    assert {name: p.tobytes() for name, p in model.tensors().items()} == before
 
 
 def test_fit_is_deterministic():
