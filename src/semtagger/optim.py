@@ -2,8 +2,9 @@
 
 Optimizers operate on flat dicts of named float64 arrays so the same code
 updates encoder tensors and the CRF transition matrix. Steps are functional:
-they return fresh arrays / state and never mutate their inputs. Adam's
-hyperparameters and the schedule's decay are fixed module constants.
+they return fresh arrays / state and never mutate their inputs. Clipping
+scales the gradients it is given in place. Adam's hyperparameters and the
+schedule's decay are fixed module constants.
 """
 
 from dataclasses import dataclass
@@ -91,8 +92,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     new_params, new_m, new_v = {}, {}, {}
-    # the formulas rounded as written, with one temporary per tensor besides
-    # the three fresh arrays returned
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # p - lr (m / bias1) / (sqrt(v / bias2) + eps), each rounded in the order
+    # written, with one temporary per tensor besides the arrays returned
     for name, p in params.items():
         g = grads[name]
         tmp = np.multiply(1.0 - b1, g)
@@ -112,18 +114,14 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return new_params, OptimState(kind="adam", step_count=t, m=new_m, v=new_v)
 
 
-def clip_grads(grads: dict[str, np.ndarray], max_norm: float,
-               inplace: bool = False) -> dict[str, np.ndarray]:
-    """Scale all gradients so their global L2 norm is at most max_norm: into
-    fresh arrays, or with ``inplace`` into ``grads``' own, which it returns."""
+def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
+    """Scale all gradients in place so their global L2 norm is at most
+    max_norm; returns ``grads``."""
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm:
-        return grads
-    scale = max_norm / total
-    if inplace:
+    if total > max_norm:
+        scale = max_norm / total
         for g in grads.values():
             g *= scale
-        return grads
-    return {name: g * scale for name, g in grads.items()}
+    return grads

@@ -228,7 +228,7 @@ def _step(model, sums, count, config, opt_state, lr):
     for grad in sums.values():
         grad /= count
     if config.clip_norm is not None:
-        clip_grads(sums, config.clip_norm, inplace=True)
+        clip_grads(sums, config.clip_norm)
     params = model.tensors()
     if config.optimizer == "adam":
         params, opt_state = adam_step(params, sums, opt_state, lr)
@@ -320,8 +320,8 @@ def train_epoch(model: TaggerModel, train_data, val_data,
                         else:
                             sums[key] += grad
                 opt_state = _step(model, sums, len(batch), config, opt_state, lr)
-                for grad in sums.values():
-                    grad.fill(0.0)
+                for key in sums:
+                    sums[key].fill(0.0)
             step = batches  # past the last batch: evaluating
             train_loss, train_acc = evaluate(model, train_data)
             val_loss, val_acc = evaluate(model, val_data)
