@@ -346,10 +346,11 @@ def _viterbi(params: CrfParams, emissions: list[np.ndarray]) -> list[np.ndarray]
     pi = params.transitions[params.start, :k] + packed[0]
     last = np.empty((len(emissions), k))  # pi at each lane's final step
     bp = np.empty(packed.shape, dtype=np.intp)
+    cands = np.empty((len(emissions), k, k))  # each step's candidates, reused
     for t in range(1, len(packed)):
         n = active[t]
         last[n:len(pi)] = pi[n:]
-        cand = trans_t + pi[:n, None, :]
+        cand = np.add(trans_t, pi[:n, None, :], out=cands[:n])
         best = cand.argmax(axis=2, out=bp[t, :n])
         pi = cand[lanes[:n], tags, best] + packed[t, :n]
     last[:len(pi)] = pi

@@ -26,6 +26,20 @@ one numpy call, the same BLAS kernel as ``W_h @ h`` and ``W_h.T @ dz`` (a
 matrix-matrix product such as ``dz @ W_h`` would differ in the last bits),
 and the gates are elementwise. The input and output layers and the weight
 gradients stay one product or reduction per sentence, as unpacked.
+
+With two or more lanes running, the forward recurrent product goes in blocks
+of ``ROWS_PER_BLOCK`` rows of ``W_h``, every lane per block, so each block is
+read from memory once per step for all lanes while it sits in cache; at
+H = 600 ``W_h`` is 11.5 MB and one 200-row block 0.96 MB. This is exact too:
+each output row of a matrix-vector product is its own dot product, and every
+block boundary falls on a multiple of 4 rows. The second condition is the
+BLAS kernel's: OpenBLAS's ``dgemv_t`` (Haswell) takes output rows in groups
+of 4, and a boundary inside a group moves the last bits of the rows after
+it. So the exactness rests on that kernel's row grouping, which
+``tools/bitcheck.py`` checks at the experiment-7 shape. One product is kept
+where blocking gains nothing: when one block covers all 4H rows (H = 50 is
+200 rows), and at a step with one lane running, which reads ``W_h`` once
+either way. The backward product ``W_h.T @ dz`` is not blocked.
 """
 
 from dataclasses import dataclass, fields
@@ -34,6 +48,11 @@ import numpy as np
 
 from .crf import _pack
 from .errors import ConfigError, DimensionError, EmptySequenceError
+
+# Rows of W_h per block of the packed recurrent product (see above): a
+# multiple of 4, and small enough for a block to fit a core's 2 MB L2 at
+# H = 600. A module constant, like trainer.GROUP_SIZE, not a setting.
+ROWS_PER_BLOCK = 200
 
 
 @dataclass
@@ -186,13 +205,23 @@ def _lstm(params: EncoderParams, zx: np.ndarray, active: list[int]):
     cell = np.empty((big_t, n, h_dim))
     tanh_cell = np.empty((big_t, n, h_dim))
     hidden = np.empty((big_t, n, h_dim))
+    w_h = params.lstm_hidden_weights
+    blocks = [slice(r, r + ROWS_PER_BLOCK)
+              for r in range(0, 4 * h_dim, ROWS_PER_BLOCK)]
+    # the recurrent products of steps that run block by block
+    blocked = np.empty((n, 4 * h_dim)) if n > 1 and len(blocks) > 1 else None
 
     h = c = np.zeros((n, h_dim))
     for m, act, c_t, tanh_t, h_t in zip(active, zx, cell, tanh_cell, hidden):
         if m < n:  # only the first m lanes still run
             act, c_t, tanh_t, h_t, h, c = (
                 a[:m] for a in (act, c_t, tanh_t, h_t, h, c))
-        z = (params.lstm_hidden_weights @ h[:, :, None])[:, :, 0]
+        if m == 1 or blocked is None:
+            z = (w_h @ h[:, :, None])[:, :, 0]
+        else:
+            z = blocked[:m]
+            for rows in blocks:
+                z[:, rows] = (w_h[rows] @ h[:, :, None])[:, :, 0]
         z += act  # the step's input projection, until act takes the gates
         _sigmoid(z, out=act)
         np.tanh(z[:, gg], out=act[:, gg])

@@ -20,8 +20,9 @@ import numpy as np
 
 # nll_loss is not called here; it stays bound for code that reaches the CRF
 # loss through this module, as perfbench's tracer does
-from .crf import (init_crf_params, log_partitions, nll_and_grad, nll_and_grads,
-                  nll_loss, score_path, viterbi_paths)
+from .crf import (_check_emissions, _check_path, _forward, _score_path,
+                  _viterbi, init_crf_params, nll_and_grad, nll_and_grads,
+                  nll_loss)
 from .data import (_read, build_vocab, encode, encode_tags,
                    read_context_embeddings, read_corpus, read_meta_tags, split,
                    write_atomically)
@@ -258,12 +259,14 @@ def evaluate(model: TaggerModel, data, meta: bool = False):
     order = sorted(range(len(data)), key=lambda i: -len(data[i][0]))
     for start in range(0, len(order), GROUP_SIZE):
         group = order[start:start + GROUP_SIZE]
-        emissions = forward_group(model.encoder, [data[i][0] for i in group])
-        paths = viterbi_paths(model.crf, emissions)
-        log_zs = log_partitions(model.crf, emissions)
-        for i, e, path, log_z in zip(group, emissions, paths, log_zs):
-            gold = data[i][1]
-            losses[i] = log_z - score_path(model.crf, e, gold)
+        # each emission matrix is checked once, then scored unchecked
+        emissions = [_check_emissions(model.crf, e) for e in
+                     forward_group(model.encoder, [data[i][0] for i in group])]
+        paths = _viterbi(model.crf, emissions)
+        for i, e, path, (_, log_z) in zip(group, emissions, paths,
+                                          _forward(model.crf, emissions)):
+            gold = _check_path(model.crf, e, data[i][1])
+            losses[i] = log_z - _score_path(model.crf, e, gold)
             correct += int(np.sum(path == gold))
             if rollup:
                 meta_correct += sum(rollup[p] == rollup[g]

@@ -8,7 +8,7 @@ import pytest
 from helpers import fd_grad, rel_err
 from semtagger import (ConfigError, DimensionError, EmptySequenceError,
                        backward, forward, init_params)
-from semtagger.encoder import EncoderParams
+from semtagger.encoder import ROWS_PER_BLOCK, EncoderParams
 
 
 def zero_params(input_dim, hidden_dim, num_tags, vocab_size=None):
@@ -218,3 +218,9 @@ def test_float64_throughout():
     assert emissions.dtype == np.float64
     grads = backward(params, tape, np.ones_like(emissions))
     assert grads.lstm_input_weights.dtype == np.float64
+
+
+def test_row_blocks_end_on_multiples_of_four():
+    # the blocked recurrent product is exact only when every block boundary
+    # falls on a multiple of 4 rows (see the encoder module docstring)
+    assert ROWS_PER_BLOCK > 0 and ROWS_PER_BLOCK % 4 == 0

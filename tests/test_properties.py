@@ -6,7 +6,8 @@ and the checkpoint archive: they round-trip, and malformed input raises a
 package error. Evaluation packs sentences into length-sorted groups, and
 gives the same bits as scoring them one at a time. A training epoch leaves
 the parameters, the optimizer state and the metrics bit for bit where the
-one-sentence reference ``helpers.loop_train_epoch`` does. On the command
+one-sentence reference ``helpers.loop_train_epoch`` does, also with the
+encoder's recurrent product split into row blocks. On the command
 line, setting flags resolve to the config that they name, and no value of
 them ends ``train`` or ``replicate`` in a traceback.
 
@@ -30,7 +31,7 @@ from hypothesis import HealthCheck, configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (TINY, loop_emissions, loop_log_partition,
+from helpers import (TINY, loop_emissions, loop_log_partition, loop_lstm,
                      loop_train_epoch, loop_viterbi, make_toy_corpus)
 from semtagger import (MODE_EXTERNAL, MODE_INTERNAL, NEG_INF, UNK_ID,
                        UNK_TOKEN, CheckpointError, DimensionError,
@@ -43,6 +44,7 @@ from semtagger import (MODE_EXTERNAL, MODE_INTERNAL, NEG_INF, UNK_ID,
                        log_partitions, parse_corpus, save_checkpoint,
                        serialize_context_embeddings, serialize_corpus,
                        train_epoch, viterbi_paths)
+from semtagger import encoder as encoder_module
 from semtagger.cli import _resolve_train_config, build_parser, main
 from semtagger.model import predicted_tags
 from semtagger.trainer import SETTINGS
@@ -471,16 +473,21 @@ def test_a_non_finite_emission_in_a_group_is_a_divergence():
 # ---- the training step
 
 @st.composite
-def training_runs(draw):
+def training_runs(draw, hidden_dims=(1, 8), batch_sizes=(1, 5),
+                  train_sizes=(1, 10)):
     """A fresh model of either mode with every dim at most 8, a config for
     either optimizer with clipping off, sometimes on or always on, and 1-10
-    training plus 1-2 validation sentences of 1-8 tokens in drawn order."""
+    training plus 1-2 validation sentences of 1-8 tokens in drawn order.
+    The keywords narrow the hidden dim, the batch size and the number of
+    training sentences."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k, dim, hidden = (draw(st.integers(1, 8)) for _ in range(3))
+    k, dim, hidden = (draw(st.integers(*dims))
+                      for dims in ((1, 8), (1, 8), hidden_dims))
     vocab_size = draw(st.none() | st.integers(1, 8))
     config = ExperimentConfig(
         optimizer=draw(st.sampled_from(["adam", "sgd"])),
-        epochs=draw(st.integers(1, 2)), batch_size=draw(st.integers(1, 5)),
+        epochs=draw(st.integers(1, 2)),
+        batch_size=draw(st.integers(*batch_sizes)),
         emb_dim=dim, hidden_dim=hidden, seed=draw(st.integers(0, 2**16)),
         embedding_mode=MODE_INTERNAL if vocab_size else MODE_EXTERNAL,
         clip_norm=draw(st.sampled_from([None, 1.0, 1e-3])))
@@ -490,13 +497,13 @@ def training_runs(draw):
         vocab = Vocab({t: i for i, t in enumerate(tokens)}, tokens)
     model = build_model(config, vocab, _tagset(k))
 
-    def sentences(max_size):
+    def sentences(min_size, max_size):
         return [(rng.normal(size=(n, dim)) if vocab is None
                  else rng.integers(0, vocab_size, size=n),
                  rng.integers(0, k, size=n))
-                for n in draw(st.lists(st.integers(1, 8), min_size=1,
+                for n in draw(st.lists(st.integers(1, 8), min_size=min_size,
                                        max_size=max_size))]
-    return model, config, sentences(10), sentences(2)
+    return model, config, sentences(*train_sizes), sentences(1, 2)
 
 
 @PROPERTY
@@ -518,6 +525,29 @@ def test_training_matches_the_one_sentence_reference(case):
             for got, ref in ((state.m, moments[1]), (state.v, moments[2])):
                 assert {n: a.tobytes() for n, a in got.items()} == {
                     n: a.tobytes() for n, a in ref.items()}
+
+
+@PROPERTY
+@given(training_runs(hidden_dims=(2, 8), batch_sizes=(2, 5),
+                     train_sizes=(2, 12)))
+def test_the_blocked_recurrent_product_matches_the_one_sentence_reference(case):
+    # 4-row blocks split 4H of 8-32 rows into 2-8 blocks, so every step with
+    # two or more lanes running takes the block loop (H = 1 is one block)
+    model, config, train, _ = case
+    inputs = sorted((x for x, _ in train), key=len, reverse=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder_module, "ROWS_PER_BLOCK", 4)
+        emissions, tape = encoder_module.forward_taped(model.encoder, inputs)
+        for lane, (x, e) in enumerate(zip(inputs, emissions)):
+            got = (tape.inputs[lane], *(a[:len(x), lane] for a in (
+                tape.gates, tape.cell, tape.tanh_cell, tape.hidden)))
+            assert [a.tobytes() for a in got] == [
+                a.tobytes() for a in loop_lstm(model.encoder, x)]
+            assert e.tobytes() == loop_emissions(model.encoder, x).tobytes()
+        # the whole training-step property, evaluation included, on the
+        # blocked product
+        test_training_matches_the_one_sentence_reference.hypothesis.inner_test(
+            case)
 
 
 # ------------------------------------------------------------- command line
