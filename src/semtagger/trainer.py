@@ -3,8 +3,11 @@
 A batch of size B is B consecutive sentences whose gradients are averaged
 before a single optimizer step; a trailing partial batch still steps,
 averaged over its own size. The batch runs as one packed pass (no padding,
-see ``batch_loss_and_grads``) whose per-sentence gradients, added up in batch
-order, are bit for bit those of one sentence at a time.
+see ``batch_loss_and_grads``) that adds each sentence's gradients straight
+into the trainer's sums, in batch order, so the sums are bit for bit those
+of one sentence at a time; the two ``(4H, .)`` LSTM weight sums are added
+block by block of ``encoder.ROWS_PER_BLOCK`` gate rows, and no sentence's
+dense gradient is made.
 Epoch-level shuffling, parameter init and the train/val split are all seeded,
 so a rerun with the same inputs reproduces the curves byte for byte.
 """
@@ -21,13 +24,11 @@ import numpy as np
 # nll_loss is not called here; it stays bound for code that reaches the CRF
 # loss through this module, as perfbench's tracer does
 from .crf import (_check_emissions, _check_path, _forward, _score_path,
-                  _viterbi, init_crf_params, nll_and_grad, nll_and_grads,
-                  nll_loss)
+                  _viterbi, init_crf_params, nll_and_grads, nll_loss)
 from .data import (_read, build_vocab, encode, encode_tags,
                    read_context_embeddings, read_corpus, read_meta_tags, split,
                    write_atomically)
-from .encoder import (backward, backward_group, forward, forward_group,
-                      forward_taped, init_params)
+from .encoder import backward_group, forward_group, forward_taped, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, save_checkpoint
 from .optim import (OPTIMIZERS, OptimState, adam_step, clip_grads,
@@ -197,30 +198,27 @@ def build_model(config: ExperimentConfig, vocab, tags) -> TaggerModel:
 def sentence_loss_and_grads(model: TaggerModel, inputs,
                             gold: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """NLL of one sentence plus gradients for every model tensor."""
-    emissions, tape = forward(model.encoder, inputs)
-    loss, crf_grads = nll_and_grad(model.crf, emissions, gold)
-    enc_grads = backward(model.encoder, tape, crf_grads.d_emissions)
-    grads = enc_grads.tensors()
-    grads["crf_transitions"] = crf_grads.d_transitions
+    grads = {name: np.zeros_like(p) for name, p in model.tensors().items()}
+    (loss,) = batch_loss_and_grads(model, [(inputs, gold)], grads)
     return loss, grads
 
 
-def batch_loss_and_grads(model: TaggerModel, batch):
-    """Yield ``sentence_loss_and_grads`` of each ``(inputs, gold)`` in batch
-    order, from one packed pass over the batch sorted longest first, with a
-    row-sparse embedding gradient (see ``encoder.backward_group``). Each
-    sentence's gradients are made at its turn, so one sentence's are held at
-    a time."""
+def batch_loss_and_grads(model: TaggerModel, batch,
+                         sums: dict[str, np.ndarray]) -> list[float]:
+    """Add the gradients of every ``(inputs, gold)`` in ``batch`` into
+    ``sums`` (shaped like ``model.tensors()``), sentence by sentence in batch
+    order, from one packed pass over the batch sorted longest first (see
+    ``encoder.backward_group``); return the losses in batch order."""
     lanes = sorted(range(len(batch)), key=lambda i: -len(batch[i][0]))
     emissions, tape = forward_taped(model.encoder, [batch[i][0] for i in lanes])
     scored = nll_and_grads(model.crf, emissions, [batch[i][1] for i in lanes])
-    lane_grads = backward_group(model.encoder, tape,
-                                [crf_grads.d_emissions for _, crf_grads in scored])
-    for lane in np.argsort(lanes):
-        loss, crf_grads = scored[lane]
-        grads = lane_grads(lane)
-        grads["crf_transitions"] = crf_grads.d_transitions
-        yield loss, grads
+    order = np.argsort(lanes)  # each sentence's lane, in batch order
+    backward_group(model.encoder, tape,
+                   [crf_grads.d_emissions for _, crf_grads in scored], sums,
+                   order)
+    for lane in order:
+        sums["crf_transitions"] += scored[lane][1].d_transitions
+    return [scored[lane][0] for lane in order]
 
 
 def _step(model, sums, count, config, opt_state, lr):
@@ -315,13 +313,7 @@ def train_epoch(model: TaggerModel, train_data, val_data,
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(batches):
                 batch = [train_data[i] for i in order[step * size:(step + 1) * size]]
-                for _, grads in batch_loss_and_grads(model, batch):
-                    for key, grad in grads.items():
-                        if key == "embedding":
-                            rows, block = grad
-                            sums[key][rows] += block
-                        else:
-                            sums[key] += grad
+                batch_loss_and_grads(model, batch, sums)
                 opt_state = _step(model, sums, len(batch), config, opt_state, lr)
                 for key in sums:
                     sums[key].fill(0.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from semtagger import (ConfigError, EmptyCorpusError, ExperimentConfig,
 from semtagger.data import EmbeddedSentence, Sentence
 from semtagger.model import MODE_EXTERNAL, MODE_INTERNAL
 from semtagger import data as data_module
+from semtagger import encoder as encoder_module
 from semtagger import trainer as trainer_module
 from semtagger.errors import DivergenceError
 from semtagger.optim import OPTIMIZERS, init_optim_state
@@ -243,6 +245,28 @@ def test_a_non_finite_emission_in_a_packed_lane_moves_no_parameter():
     assert str(err.value) == ("experiment 2 diverged in epoch 0, batch step 1 "
                               "of 1: emissions must be finite")
     assert {name: p.tobytes() for name, p in model.tensors().items()} == before
+
+
+def test_a_batch_adds_its_weight_gradients_in_blocks_of_gate_rows(monkeypatch):
+    # 2000-dim vectors into 4H = 32 gate rows: one sentence's dense
+    # lstm_input_weights gradient (512 KB) dwarfs the batch's tape (~100 KB
+    # of input copies), and a block of 4 gate rows is a 64 KB product.
+    # Making a dense gradient per sentence peaks above one such gradient.
+    monkeypatch.setattr(encoder_module, "ROWS_PER_BLOCK", 4)
+    config = ExperimentConfig(optimizer="sgd", emb_dim=2000, hidden_dim=8,
+                              batch_size=3, embedding_mode=MODE_EXTERNAL)
+    tags = build_vocab([Sentence(["a", "b"], ["t0", "t1"])])[1]
+    model = build_model(config, None, tags)
+    rng = np.random.default_rng(0)
+    batch = [(rng.normal(size=(n, 2000)), np.arange(n) % 2) for n in (2, 3, 1)]
+    sums = {name: np.zeros_like(p) for name, p in model.tensors().items()}
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        trainer_module.batch_loss_and_grads(model, batch, sums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sums["lstm_input_weights"].nbytes
 
 
 def test_fit_is_deterministic():

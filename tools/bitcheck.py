@@ -9,9 +9,9 @@ and once on the given ``src`` directory, each tree in its own subprocess,
 and compares the ``curves.csv`` and ``checkpoint.npz`` they write. Both
 sides use this repository's test definitions. ``exp7_run`` trains the
 experiment-7 shape (768-dim vectors, hidden 600, SGD, batch 5) for one epoch
-on 10 sentences: the Tier-1 tests stay at dims of 8 and below, and a BLAS
-kernel may group the rows of a 600-wide product differently from a small
-one.
+on 12 sentences, in batches of 5, 5 and 2: the Tier-1 tests stay at dims of
+8 and below, and a BLAS kernel may group the rows of a 600-wide product
+differently from a small one.
 
 Evaluation writes no checkpoint and ``curves.csv`` rounds to six digits, so
 each child also scores the run's input file with the checkpoint it trained:
@@ -57,8 +57,9 @@ from semtagger.trainer import encode_for
 
 
 def exp7_run(work):
-    # 11 sentences of 5-25 tokens; the split leaves 10 for training
-    base = make_toy_corpus(11, vocab_size=60, num_tags=8, seed=2027,
+    # 13 sentences of 5-25 tokens; the split leaves 12 for training, batches
+    # of 5, 5 and 2, so the packed step runs at more than one lane count
+    base = make_toy_corpus(13, vocab_size=60, num_tags=8, seed=2027,
                            min_len=5, max_len=25)
     table = type_vectors(60, 768, seed=2028)
     embedded = [EmbeddedSentence(s.tokens, s.tags,
