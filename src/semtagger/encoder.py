@@ -25,9 +25,7 @@ the same bits: the recurrent products ``W_h @ h[:, :, None]`` and
 one numpy call, the same BLAS kernel as ``W_h @ h`` and ``W_h.T @ dz`` (a
 matrix-matrix product such as ``dz @ W_h`` would differ in the last bits),
 and the gates are elementwise. The input and output layers and the weight
-gradients stay one product or reduction per sentence, as unpacked; the
-gradients are added straight into the caller's sums, sentence by sentence in
-batch order, so no sentence's dense gradient is held.
+gradients stay one product or reduction per sentence, as unpacked.
 
 With two or more lanes running, the forward recurrent product goes in blocks
 of ``ROWS_PER_BLOCK`` rows of ``W_h``, every lane per block, so each block is
@@ -43,13 +41,14 @@ where blocking gains nothing: when one block covers all 4H rows (H = 50 is
 200 rows), and at a step with one lane running, which reads ``W_h`` once
 either way. The backward product ``W_h.T @ dz`` is not blocked.
 
-The same blocks of gate rows set how ``backward_group`` adds the two
-``(4H, .)`` weight gradients: block by block, every sentence per block in
-batch order, ``sums[rows] += dz[:, rows].T @ x``. A gate row's gradient is
-its own dot products, so under the same multiple-of-4 rule each element gets
-the same products added in the same order as whole, and a block's sums stay
-in cache across the sentences; at H = 600 one sentence's dense gradient
-would be 26 MB.
+``backward_group`` adds each sentence's gradients straight into the
+caller's sums, in batch order, and the same blocks of gate rows set how it
+adds the two ``(4H, .)`` weight gradients: block by block, every sentence
+per block, ``sums[rows] += dz[:, rows].T @ x``. A gate row's gradient is its
+own dot products, so under the same multiple-of-4 rule each element gets the
+same products, added in the same order, as from the whole product; no
+sentence's dense gradient (26 MB at H = 600) is made, and a block's sums
+stay in cache across the sentences.
 """
 
 from dataclasses import dataclass, fields
@@ -276,12 +275,10 @@ def backward_group(params: EncoderParams, tape: EncoderTape,
                    order) -> None:
     """One packed BPTT loop over ``tape``'s group, given each lane's
     d(loss)/d(emissions), adding every lane's gradients into ``sums`` (shaped
-    like ``params.tensors()``) lane by lane in ``order``. Each tensor's sum
-    gets the products ``backward`` would give, added in that order, so it is
-    bit for bit the sum of one ``backward`` per lane; no lane's dense
-    gradient is made. The two ``(4H, .)`` weight gradients go block by block
-    of ``ROWS_PER_BLOCK`` gate rows, every lane per block; the embedding's is
-    added to the sentence's distinct rows only."""
+    like ``params.tensors()``) lane by lane in ``order``: bit for bit the
+    sums of one ``backward`` per lane added in that order. The two
+    ``(4H, .)`` weight gradients go block by block of gate rows (see the
+    module docstring); the embedding's touches the sentence's own rows."""
     h_dim = params.hidden_dim
     gi, gf, gg, go = (slice(b * h_dim, (b + 1) * h_dim) for b in range(4))
     dh_emit = _pack([d @ params.out_weights for d in d_emissions])[0]
@@ -305,7 +302,7 @@ def backward_group(params: EncoderParams, tape: EncoderTape,
         dh_rec[:m] = (w_h_t @ dz_t[:, :, None])[:, :, 0]
         dc_rec[:m] = dc * f
 
-    h_prevs = {}
+    h_prevs = [None] * len(d_emissions)
     for lane in order:
         x, ids, d_em = tape.inputs[lane], tape.token_ids[lane], d_emissions[lane]
         dz_lane = dz[lane, :len(x)]
@@ -320,8 +317,6 @@ def backward_group(params: EncoderParams, tape: EncoderTape,
         sums["lstm_bias"] += dz_lane.sum(axis=0)
         sums["out_weights"] += d_em.T @ states[1:]
         sums["out_bias"] += d_em.sum(axis=0)
-    # the two (4H, .) weight gradients, block by block (see the module
-    # docstring)
     for r in range(0, 4 * h_dim, ROWS_PER_BLOCK):
         rows = slice(r, r + ROWS_PER_BLOCK)
         for lane in order:
