@@ -23,8 +23,8 @@ from .errors import (CheckpointError, ConfigError, DimensionError,
                      ParseError, SemtaggerError, UnknownTagError)
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, TaggerModel,
                     load_checkpoint, save_checkpoint, tag_tokens, tag_vectors)
-from .optim import (OPTIMIZERS, OptimState, adam_step, clip_grads,
-                    init_optim_state, lr_at, sgd_step)
+from .optim import (OPTIMIZERS, OptimState, adam_step, adam_update,
+                    clip_grads, init_optim_state, lr_at, sgd_step, sgd_update)
 from .trainer import (EpochMetrics, ExperimentConfig, build_model,
                       encode_corpus, encode_embedded, evaluate, evaluate_meta,
                       export_curves, fit, load_experiment_configs,

@@ -12,7 +12,7 @@ import sys
 from contextlib import ExitStack
 from dataclasses import replace
 
-from .errors import ParseError, SemtaggerError
+from .errors import DivergenceError, ParseError, SemtaggerError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, load_checkpoint, tag_tokens,
                     tag_vectors)
 from .trainer import (OPTIMIZERS, SETTINGS, ExperimentConfig, encode_for,
@@ -223,7 +223,7 @@ def cmd_replicate(args) -> int:
         args.parser.error(f"experiments {needs_corpus} need --corpus")
 
     overrides = _overrides(args)
-    finals = {}
+    ran, diverged = False, []
     for n in ids:
         config = replace(grid[n], **overrides)
         if config.embedding_mode == MODE_EXTERNAL and not args.embeddings:
@@ -235,20 +235,25 @@ def cmd_replicate(args) -> int:
         # an external row splits its embedding file; it takes no val corpus
         val_corpus = (args.val_corpus
                       if config.embedding_mode == MODE_INTERNAL else None)
-        history = run_experiment(
-            config, corpus=args.corpus, embeddings=args.embeddings,
-            val_corpus=val_corpus, val_fraction=args.val_fraction,
-            min_freq=args.min_freq, meta_tags_path=args.meta_tags,
-            out_dir=out_dir,
-        )
-        finals[n] = history[-1]
-
-    for n, m in finals.items():
-        c = grid[n]
+        ran = True
+        # a diverged row is a result of the grid: the other rows still run
+        try:
+            history = run_experiment(
+                config, corpus=args.corpus, embeddings=args.embeddings,
+                val_corpus=val_corpus, val_fraction=args.val_fraction,
+                min_freq=args.min_freq, meta_tags_path=args.meta_tags,
+                out_dir=out_dir,
+            )
+        except DivergenceError as exc:
+            diverged.append(str(exc))
+            continue
+        c, m = grid[n], history[-1]
         print(f"experiment {n}: optimizer={c.optimizer} batch={c.batch_size} "
               f"emb_dim={c.emb_dim} hidden_dim={c.hidden_dim} "
-              f"val_acc={m.val_acc:.6g} val_loss={m.val_loss:.6g}")
-    if not finals:
+              f"val_acc={m.val_acc:.6g} val_loss={m.val_loss:.6g}", flush=True)
+    if diverged:
+        raise DivergenceError("; ".join(diverged))
+    if not ran:
         print("no experiments were run")
     return 0
 

@@ -350,7 +350,10 @@ def _viterbi(params: CrfParams, emissions: list[np.ndarray]) -> list[np.ndarray]
     for t in range(1, len(packed)):
         n = active[t]
         last[n:len(pi)] = pi[n:]
-        cand = np.add(trans_t, pi[:n, None, :], out=cands[:n])
+        cand = cands[:n]
+        # fill, then add: one broadcast add into out= takes up to twice as long
+        cand[...] = pi[:n, None, :]
+        cand += trans_t
         best = cand.argmax(axis=2, out=bp[t, :n])
         pi = cand[lanes[:n], tags, best] + packed[t, :n]
     last[:len(pi)] = pi

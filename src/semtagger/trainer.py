@@ -7,7 +7,10 @@ see ``batch_loss_and_grads``) that adds each sentence's gradients straight
 into the trainer's sums, in batch order, so the sums are bit for bit those
 of one sentence at a time; the two ``(4H, .)`` LSTM weight sums are added
 block by block of ``encoder.ROWS_PER_BLOCK`` gate rows, and no sentence's
-dense gradient is made.
+dense gradient is made. The step then writes its update into the model's
+own tensors and the optimizer state (``optim.sgd_update``,
+``optim.adam_update``), so training allocates no new parameters or
+moments; rebuilding the CRF after each step re-checks the transitions.
 Epoch-level shuffling, parameter init and the train/val split are all seeded,
 so a rerun with the same inputs reproduces the curves byte for byte.
 """
@@ -31,8 +34,8 @@ from .data import (_read, build_vocab, encode, encode_tags,
 from .encoder import backward_group, forward_group, forward_taped, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, save_checkpoint
-from .optim import (OPTIMIZERS, OptimState, adam_step, clip_grads,
-                    init_optim_state, lr_at, sgd_step)
+from .optim import (OPTIMIZERS, OptimState, adam_update, clip_grads,
+                    init_optim_state, lr_at, sgd_update)
 
 logger = logging.getLogger("semtagger")
 
@@ -222,19 +225,21 @@ def batch_loss_and_grads(model: TaggerModel, batch,
 
 
 def _step(model, sums, count, config, opt_state, lr):
-    """One optimizer step on the mean of the summed gradients; ``sums`` is
-    the trainer's own and is overwritten."""
+    """One optimizer step on the mean of the summed gradients, written into
+    the model's tensors and ``opt_state``; ``sums`` is the trainer's own and
+    is overwritten."""
     for grad in sums.values():
         grad /= count
     if config.clip_norm is not None:
         clip_grads(sums, config.clip_norm)
     params = model.tensors()
     if config.optimizer == "adam":
-        params, opt_state = adam_step(params, sums, opt_state, lr)
+        adam_update(params, sums, opt_state, lr)
     else:
-        params = sgd_step(params, sums, lr)
+        sgd_update(params, sums, lr)
+    # rebuilding the CRF re-checks the transitions: a step that wrote a
+    # non-finite value raises DivergenceError here
     model.set_tensors(params)
-    return opt_state
 
 
 def evaluate(model: TaggerModel, data, meta: bool = False):
@@ -293,8 +298,10 @@ def train_epoch(model: TaggerModel, train_data, val_data,
                 opt_state: OptimState) -> tuple[EpochMetrics, OptimState]:
     """One seeded pass over the training data, then full-set metrics.
 
-    Non-finite scores or parameters raise ``DivergenceError`` naming the
-    experiment, the epoch and the batch step (or the end-of-epoch evaluation).
+    Updates the model's tensors and ``opt_state`` in place; the state
+    returned is ``opt_state`` itself. Non-finite scores or parameters raise
+    ``DivergenceError`` naming the experiment, the epoch and the batch step
+    (or the end-of-epoch evaluation).
     """
     lr = lr_at(config.effective_lr, epoch_index)
     order = np.random.default_rng([config.seed, epoch_index]).permutation(
@@ -314,9 +321,10 @@ def train_epoch(model: TaggerModel, train_data, val_data,
             for step in range(batches):
                 batch = [train_data[i] for i in order[step * size:(step + 1) * size]]
                 batch_loss_and_grads(model, batch, sums)
-                opt_state = _step(model, sums, len(batch), config, opt_state, lr)
+                _step(model, sums, len(batch), config, opt_state, lr)
                 for key in sums:
                     sums[key].fill(0.0)
+            del sums  # one model's worth of memory, not needed to evaluate
             step = batches  # past the last batch: evaluating
             train_loss, train_acc = evaluate(model, train_data)
             val_loss, val_acc = evaluate(model, val_data)

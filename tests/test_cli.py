@@ -399,6 +399,32 @@ def test_replicate_with_custom_config(tmp_path, corpus_file, capsys):
     assert (out / "experiment2" / "checkpoint.npz").exists()
 
 
+def test_replicate_runs_every_row_when_one_diverges(tmp_path, corpus_file,
+                                                    capsys):
+    row = "optimizer = sgd\nepochs = 1\nemb_dim = 4\nhidden_dim = 3\n"
+    ini = tmp_path / "grid.ini"
+    ini.write_text(f"[experiment 1]\n{row}[experiment 2]\n{row}base_lr = 1e300\n"
+                   f"[experiment 3]\n{row}")
+    out = tmp_path / "rep"
+    code = main(["replicate", "--corpus", str(corpus_file), "--config",
+                 str(ini), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "experiment 1", "experiment 3"]
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, captured.err
+    assert errors[0].startswith(
+        "error: experiment 2 diverged in epoch 0, batch step ")
+    assert "Traceback" not in captured.err
+    for n in (1, 3):
+        assert (out / f"experiment{n}" / "curves.csv").exists()
+        assert (out / f"experiment{n}" / "checkpoint.npz").exists()
+    assert not (out / "experiment2" / "curves.csv").exists()
+    assert not (out / "experiment2" / "checkpoint.npz").exists()
+
+
 def test_replicate_subset_selection(tmp_path, corpus_file, capsys):
     ini = tmp_path / "grid.ini"
     ini.write_text(

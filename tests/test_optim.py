@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import zero_transition_params
-from semtagger import (ConfigError, DimensionError, adam_step, clip_grads,
-                       init_optim_state, lr_at, sgd_step)
+from semtagger import (ConfigError, DimensionError, OptimState, adam_step,
+                       adam_update, clip_grads, init_optim_state, lr_at,
+                       sgd_step)
+from semtagger import optim as optim_module
 from semtagger.crf import NEG_INF
 
 
@@ -77,6 +79,36 @@ def test_adam_state_is_functional():
     assert np.all(state0.m["a"] == 0.0)
     assert state1.step_count == 1
     assert not np.array_equal(state1.m["a"], state0.m["a"])
+
+
+def test_adam_on_non_contiguous_arrays_matches_contiguous_copies(monkeypatch):
+    # 7-element blocks split both tensors into 2-row blocks and a 1-row tail
+    monkeypatch.setattr(optim_module, "ADAM_BLOCK", 7)
+    rng = np.random.default_rng(3)
+
+    def strided():  # a column slice and a transpose: neither is C-contiguous
+        return {"a": rng.normal(size=(7, 6))[:, ::2],
+                "b": rng.normal(size=(3, 5)).T}
+
+    params = strided()
+    state = OptimState("adam", m={"a": np.zeros((7, 6))[:, ::2],
+                                  "b": np.zeros((3, 5)).T},
+                       v={"a": np.zeros((7, 6))[:, ::2],
+                          "b": np.zeros((3, 5)).T})
+    flat = {name: np.ascontiguousarray(p) for name, p in params.items()}
+    flat_state = init_optim_state("adam", flat)
+    for _ in range(3):
+        grads = strided()
+        flat, flat_state = adam_step(
+            flat, {n: np.ascontiguousarray(g) for n, g in grads.items()},
+            flat_state, lr=1e-2)
+        returned, _ = adam_step(params, grads, state, lr=1e-2)
+        adam_update(params, grads, state, lr=1e-2)
+        for got, want in ((returned, flat), (params, flat),
+                          (state.m, flat_state.m), (state.v, flat_state.v)):
+            assert {n: a.tobytes() for n, a in got.items()} == {
+                n: a.tobytes() for n, a in want.items()}
+    assert state.step_count == flat_state.step_count == 3
 
 
 def test_zero_grad_cells_stay_put_under_both_optimizers():

@@ -7,7 +7,8 @@ package error. Evaluation packs sentences into length-sorted groups, and
 gives the same bits as scoring them one at a time. A training epoch leaves
 the parameters, the optimizer state and the metrics bit for bit where the
 one-sentence reference ``helpers.loop_train_epoch`` does, also with the
-encoder's recurrent product split into row blocks. On the command
+encoder's recurrent product split into row blocks and with Adam's update
+split into short blocks. On the command
 line, setting flags resolve to the config that they name, and no value of
 them ends ``train`` or ``replicate`` in a traceback.
 
@@ -45,6 +46,7 @@ from semtagger import (MODE_EXTERNAL, MODE_INTERNAL, NEG_INF, UNK_ID,
                        serialize_context_embeddings, serialize_corpus,
                        train_epoch, viterbi_paths)
 from semtagger import encoder as encoder_module
+from semtagger import optim as optim_module
 from semtagger.cli import _resolve_train_config, build_parser, main
 from semtagger.model import predicted_tags
 from semtagger.trainer import SETTINGS
@@ -474,18 +476,18 @@ def test_a_non_finite_emission_in_a_group_is_a_divergence():
 
 @st.composite
 def training_runs(draw, hidden_dims=(1, 8), batch_sizes=(1, 5),
-                  train_sizes=(1, 10)):
+                  train_sizes=(1, 10), optimizers=("adam", "sgd")):
     """A fresh model of either mode with every dim at most 8, a config for
     either optimizer with clipping off, sometimes on or always on, and 1-10
     training plus 1-2 validation sentences of 1-8 tokens in drawn order.
-    The keywords narrow the hidden dim, the batch size and the number of
-    training sentences."""
+    The keywords narrow the hidden dim, the batch size, the number of
+    training sentences and the optimizers."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k, dim, hidden = (draw(st.integers(*dims))
                       for dims in ((1, 8), (1, 8), hidden_dims))
     vocab_size = draw(st.none() | st.integers(1, 8))
     config = ExperimentConfig(
-        optimizer=draw(st.sampled_from(["adam", "sgd"])),
+        optimizer=draw(st.sampled_from(optimizers)),
         epochs=draw(st.integers(1, 2)),
         batch_size=draw(st.integers(*batch_sizes)),
         emb_dim=dim, hidden_dim=hidden, seed=draw(st.integers(0, 2**16)),
@@ -512,7 +514,10 @@ def test_training_matches_the_one_sentence_reference(case):
     model, config, train, val = case
     state = init_optim_state(config.optimizer, model.tensors())
     params = {name: p.copy() for name, p in model.tensors().items()}
-    moments = (0, state.m, state.v) if config.optimizer == "adam" else None
+    moments = None
+    if config.optimizer == "adam":  # copies: train_epoch updates state in place
+        moments = (0, {n: a.copy() for n, a in state.m.items()},
+                   {n: a.copy() for n, a in state.v.items()})
     for epoch in range(config.epochs):
         metrics, state = train_epoch(model, train, val, config, epoch, state)
         params, moments, want = loop_train_epoch(params, moments, train, val,
@@ -546,6 +551,17 @@ def test_the_blocked_recurrent_product_matches_the_one_sentence_reference(case):
             assert e.tobytes() == loop_emissions(model.encoder, x).tobytes()
         # the whole training-step property, evaluation included, on the
         # blocked product
+        test_training_matches_the_one_sentence_reference.hypothesis.inner_test(
+            case)
+
+
+@PROPERTY
+@given(training_runs(optimizers=("adam",)))
+def test_adam_in_blocks_matches_the_one_sentence_reference(case):
+    # 13-element blocks are 1-13 rows of the tests' rows of at most 10
+    # elements, so most tensors end on a short tail block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim_module, "ADAM_BLOCK", 13)
         test_training_matches_the_one_sentence_reference.hypothesis.inner_test(
             case)
 

@@ -16,7 +16,7 @@ from semtagger import (ConfigError, EmptyCorpusError, ExperimentConfig,
                        sentence_loss_and_grads, serialize_corpus,
                        serialize_context_embeddings, split, experiment_grid,
                        train_epoch, load_checkpoint)
-from semtagger.data import EmbeddedSentence, Sentence
+from semtagger.data import UNK_TOKEN, EmbeddedSentence, Sentence, Vocab
 from semtagger.model import MODE_EXTERNAL, MODE_INTERNAL
 from semtagger import data as data_module
 from semtagger import encoder as encoder_module
@@ -269,6 +269,53 @@ def test_a_batch_adds_its_weight_gradients_in_blocks_of_gate_rows(monkeypatch):
     assert peak < sums["lstm_input_weights"].nbytes
 
 
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_an_epoch_updates_the_model_and_the_moments_in_place(optimizer):
+    config = ExperimentConfig(optimizer=optimizer, emb_dim=4, hidden_dim=3,
+                              epochs=1, batch_size=2, seed=5)
+    model, data, _ = tiny_setup(n=5, config=config)
+    state = init_optim_state(optimizer, model.tensors())
+
+    def arrays():
+        return [model.tensors()] + (
+            [dict(state.m), dict(state.v)] if optimizer == "adam" else [])
+
+    before = arrays()
+    bias = model.encoder.lstm_bias.copy()
+    _, after = train_epoch(model, data, data, config, 0, state)
+    assert after is state
+    for got, want in zip(arrays(), before, strict=True):
+        assert all(got[name] is a for name, a in want.items())
+    assert not np.array_equal(model.encoder.lstm_bias, bias)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_a_step_allocates_less_than_one_copy_of_the_largest_tensor(optimizer):
+    # a 20000 x 8 embedding table (1.28 MB) outgrows Adam's two block
+    # temporaries (2 x 32768 elements, 512 KB); a step that makes fresh
+    # parameters or moments peaks above one copy of the table
+    config = ExperimentConfig(optimizer=optimizer, emb_dim=8, hidden_dim=2)
+    tokens = [UNK_TOKEN] + [f"w{i}" for i in range(1, 20000)]
+    vocab = Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+    tags = build_vocab([Sentence(["a", "b"], ["t0", "t1"])])[1]
+    model = build_model(config, vocab, tags)
+    rng = np.random.default_rng(0)
+    sums = {name: rng.normal(size=p.shape)
+            for name, p in model.tensors().items()}
+    # no gradient reaches the sentinel cells, as in training
+    sums["crf_transitions"][:, model.crf.start] = 0.0
+    sums["crf_transitions"][model.crf.stop, :] = 0.0
+    state = init_optim_state(optimizer, model.tensors())
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        trainer_module._step(model, sums, 2, config, state,
+                             config.effective_lr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.encoder.embedding.nbytes
+
+
 def test_fit_is_deterministic():
     runs = []
     for _ in range(2):
@@ -475,8 +522,8 @@ def test_a_step_that_writes_nan_is_reported_as_divergence(monkeypatch):
     config = ExperimentConfig(id=3, optimizer="sgd", emb_dim=4, hidden_dim=3,
                               epochs=1, batch_size=2, seed=5)
     model, data, _ = tiny_setup(n=5, config=config)
-    monkeypatch.setattr(trainer_module, "sgd_step", lambda params, grads, lr: {
-        k: np.full_like(v, np.nan) for k, v in params.items()})
+    monkeypatch.setattr(trainer_module, "sgd_update", lambda params, grads, lr: [
+        p.fill(np.nan) for p in params.values()])
     with pytest.raises(DivergenceError) as err:
         train_epoch(model, data, data, config, 0,
                     init_optim_state("sgd", model.tensors()))
