@@ -176,8 +176,8 @@ def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     returned as a view."""
     lengths = [len(a) for a in arrays]
     if any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise ValueError(f"packed arrays must be sorted longest first, got "
-                         f"lengths {lengths}")
+        raise DimensionError(f"packed arrays must be sorted longest first, "
+                             f"got lengths {lengths}")
     if len(arrays) == 1:
         return arrays[0][:, None], [1] * lengths[0]
     packed = np.zeros((lengths[0], len(arrays)) + arrays[0].shape[1:])
@@ -267,13 +267,6 @@ def _expected_transitions(trans: np.ndarray, alpha: np.ndarray, right: np.ndarra
 def log_partition(params: CrfParams, emissions: np.ndarray) -> float:
     """log Z: log-sum-exp of the scores of all K^T paths, via the forward pass."""
     return _forward(params, [_check_emissions(params, emissions)])[0][1]
-
-
-def log_partitions(params: CrfParams, emissions: list) -> list[float]:
-    """``log_partition`` of each emission matrix, sorted longest first, from
-    one packed forward pass; bit-identical to one call per matrix."""
-    return [log_z for _, log_z in _forward(
-        params, [_check_emissions(params, e) for e in emissions])]
 
 
 def nll_loss(params: CrfParams, emissions: np.ndarray, gold) -> float:
@@ -378,8 +371,3 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray
     (path,) = _viterbi(params, [emissions])
     return path, _score_path(params, emissions, path)
 
-
-def viterbi_paths(params: CrfParams, emissions: list) -> list[np.ndarray]:
-    """``viterbi_decode``'s path for each emission matrix, sorted longest
-    first, from one packed loop."""
-    return _viterbi(params, [_check_emissions(params, e) for e in emissions])

@@ -264,12 +264,6 @@ def forward(params: EncoderParams, tokens) -> tuple[np.ndarray, EncoderTape]:
     return emissions, tape
 
 
-def forward_group(params: EncoderParams, inputs: list) -> list[np.ndarray]:
-    """``forward``'s emissions for each input, sorted longest first, from one
-    packed LSTM loop; bit-identical to one ``forward`` call per input."""
-    return forward_taped(params, inputs)[0]
-
-
 def backward_group(params: EncoderParams, tape: EncoderTape,
                    d_emissions: list[np.ndarray], sums: dict[str, np.ndarray],
                    order) -> None:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 # viterbi_decode is not called here; it stays bound for code that reaches the
-# decoder through this module, as perfbench's tracer does
+# decoder through this module, as perfbench's tracer does (pinned by
+# perfbench/test_perfbench.py::test_tracer_wraps_defining_and_imported_names)
 from .crf import CrfParams, _check_emissions, _viterbi, viterbi_decode
 from .data import UNK_TOKEN, TagSet, Vocab, write_atomically
 from .encoder import EncoderParams, forward

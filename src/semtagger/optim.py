@@ -1,18 +1,16 @@
 """Parameter update rules (SGD, Adam) and the step-decay learning-rate schedule.
 
 Optimizers operate on flat dicts of named float64 arrays so the same code
-updates encoder tensors and the CRF transition matrix. Each rule has one
-copy of its arithmetic, an in-place update (``sgd_update``, ``adam_update``)
-that writes the parameters and Adam's moments where they live, as the
-trainer calls it. The functional steps (``sgd_step``, ``adam_step``) run
-that update on copies, returning fresh arrays and state and never mutating
-their inputs. Clipping scales the gradients it is given in place. Adam's
+updates encoder tensors and the CRF transition matrix. Each rule is one
+in-place update (``sgd_update``, ``adam_update``) that writes the parameters
+and Adam's moments where they live; a caller that wants the old values keeps
+its own copies. Clipping scales the gradients it is given in place. Adam's
 hyperparameters, its block size and the schedule's decay are fixed module
 constants.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,29 +135,6 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             b *= lr
             b /= a
             w -= b
-
-
-def _copies(arrays: dict[str, np.ndarray] | None) -> dict[str, np.ndarray] | None:
-    return None if arrays is None else {n: a.copy() for n, a in arrays.items()}
-
-
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float) -> dict[str, np.ndarray]:
-    """``sgd_update`` on copies: returns p - lr * g and leaves its inputs
-    alone."""
-    new_params = _copies(params)
-    sgd_update(new_params, _copies(grads), lr)
-    return new_params
-
-
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: OptimState, lr: float) -> tuple[dict[str, np.ndarray], OptimState]:
-    """``adam_update`` on copies: returns (new params, new state) and leaves
-    its inputs alone."""
-    new_params = _copies(params)
-    new_state = replace(state, m=_copies(state.m), v=_copies(state.v))
-    adam_update(new_params, grads, new_state, lr)
-    return new_params, new_state
 
 
 def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:

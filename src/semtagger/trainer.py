@@ -25,13 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # nll_loss is not called here; it stays bound for code that reaches the CRF
-# loss through this module, as perfbench's tracer does
+# loss through this module, as perfbench's tracer does (pinned by
+# perfbench/test_perfbench.py::test_tracer_wraps_defining_and_imported_names)
 from .crf import (_check_emissions, _check_path, _forward, _score_path,
                   _viterbi, init_crf_params, nll_and_grads, nll_loss)
 from .data import (_read, build_vocab, encode, encode_tags,
                    read_context_embeddings, read_corpus, read_meta_tags, split,
                    write_atomically)
-from .encoder import backward_group, forward_group, forward_taped, init_params
+from .encoder import backward_group, forward_taped, init_params
 from .errors import ConfigError, DivergenceError, EmptyCorpusError
 from .model import MODE_EXTERNAL, MODE_INTERNAL, TaggerModel, save_checkpoint
 from .optim import (OPTIMIZERS, OptimState, adam_update, clip_grads,
@@ -134,7 +135,10 @@ def load_experiment_configs(path) -> dict[int, ExperimentConfig]:
     try:
         _read(path, parser.read_file)
     except configparser.Error as exc:
-        raise ConfigError(f"bad config file {path}: {exc}") from None
+        # configparser puts the file, line number and line on lines of their
+        # own; the message keeps them on the one error line
+        message = " ".join(part.strip() for part in str(exc).splitlines())
+        raise ConfigError(f"bad config file {path}: {message}") from None
 
     configs: dict[int, ExperimentConfig] = {}
     sections: dict[int, str] = {}
@@ -244,8 +248,10 @@ def _step(model, sums, count, config, opt_state, lr):
 
 def evaluate(model: TaggerModel, data, meta: bool = False):
     """(mean per-sentence NLL, Viterbi token accuracy) without touching
-    params; with ``meta``, a third item from the same decode: the
-    ``evaluate_meta`` accuracy.
+    params; with ``meta``, a third item from the same decode: the token
+    accuracy after rolling tags up to their coarse meta-tags, or None when
+    the model carries no meta-tag map. Tags absent from the map stand for
+    themselves, i.e. they form singleton meta classes.
 
     Sentences run in packed groups of at most GROUP_SIZE, longest first
     (ties in data order), each through one encoder and Viterbi loop; every
@@ -263,8 +269,8 @@ def evaluate(model: TaggerModel, data, meta: bool = False):
     for start in range(0, len(order), GROUP_SIZE):
         group = order[start:start + GROUP_SIZE]
         # each emission matrix is checked once, then scored unchecked
-        emissions = [_check_emissions(model.crf, e) for e in
-                     forward_group(model.encoder, [data[i][0] for i in group])]
+        emissions = [_check_emissions(model.crf, e) for e in forward_taped(
+            model.encoder, [data[i][0] for i in group])[0]]
         paths = _viterbi(model.crf, emissions)
         for i, e, path, (_, log_z) in zip(group, emissions, paths,
                                           _forward(model.crf, emissions)):
@@ -282,15 +288,6 @@ def evaluate(model: TaggerModel, data, meta: bool = False):
     if not meta:
         return scores
     return scores + (meta_correct / tokens if rollup else None,)
-
-
-def evaluate_meta(model: TaggerModel, data) -> float | None:
-    """Token accuracy after rolling tags up to their coarse meta-tags.
-
-    Returns None when the model carries no meta-tag map. Tags absent from the
-    map fall back to themselves, i.e. they form singleton meta classes.
-    """
-    return evaluate(model, data, meta=True)[2]
 
 
 def train_epoch(model: TaggerModel, train_data, val_data,
@@ -378,19 +375,6 @@ def export_curves(history: list[EpochMetrics], path) -> None:
         ]))
     text = "\n".join(lines) + "\n"
     write_atomically(path, lambda fh: fh.write(text.encode("utf-8")))
-
-
-def read_curves(path) -> list[EpochMetrics]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "epoch,train_loss,train_acc,val_loss,val_acc,lr":
-        raise ConfigError(f"{path} is not a curves CSV")
-    out = []
-    for line in lines[1:]:
-        e, tl, ta, vl, va, lr = line.split(",")
-        out.append(EpochMetrics(int(e), float(tl), float(ta), float(vl),
-                                float(va), float(lr)))
-    return out
 
 
 def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,

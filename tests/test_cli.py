@@ -327,6 +327,25 @@ def test_a_bad_row_names_its_file_and_section(tmp_path, corpus_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, where", [
+    ("tok3\tt0\n", "line: 1"),
+    ("[experiment 1]\n  continues nothing\n", "[line  2]"),
+    ("[experiment 1]\nepochs = 1\nepochs = 2\n", "[line  3]"),
+], ids=["no-section-header", "bad-continuation", "repeated-option"])
+def test_a_malformed_ini_is_one_error_line(tmp_path, corpus_file, capsys,
+                                           text, where):
+    ini = tmp_path / "g.ini"
+    ini.write_text(text)
+    out = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus_file), "--config", str(ini),
+                 "--experiment", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: bad config file {ini}: ")
+    assert where in err[0] and f"'{ini}'" in err[0]
+    assert not out.exists()
+
+
 def external_fixture(tmp_path, dim=6):
     base = make_toy_corpus(20, vocab_size=7, num_tags=3, seed=12,
                            min_len=2, max_len=4)
@@ -487,8 +506,8 @@ def test_eval_decodes_the_file_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     assert main(train_args(corpus, out, extra=["--meta-tags", str(meta)])) == 0
     calls = []
-    real = trainer_module.forward_group
-    monkeypatch.setattr(trainer_module, "forward_group", lambda params, inputs:
+    real = trainer_module.forward_taped
+    monkeypatch.setattr(trainer_module, "forward_taped", lambda params, inputs:
                         calls.append(len(inputs)) or real(params, inputs))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),

@@ -8,7 +8,7 @@ import pytest
 from helpers import fd_grad, rel_err
 from semtagger import (ConfigError, DimensionError, EmptySequenceError,
                        backward, forward, init_params)
-from semtagger.encoder import ROWS_PER_BLOCK, EncoderParams
+from semtagger.encoder import ROWS_PER_BLOCK, EncoderParams, forward_taped
 
 
 def zero_params(input_dim, hidden_dim, num_tags, vocab_size=None):
@@ -201,6 +201,12 @@ def test_input_validation_errors():
     ext = init_params(None, 3, 4, 2, seed=0)
     with pytest.raises(DimensionError):
         forward(ext, np.array([0, 1]))  # ids without an embedding table
+
+
+def test_a_group_not_sorted_longest_first_is_a_dimension_error():
+    params = init_params(5, 3, 4, 2, seed=0)
+    with pytest.raises(DimensionError, match=r"longest first.*\[2, 3\]"):
+        forward_taped(params, [np.array([1, 2]), np.array([0, 3, 4])])
 
 
 def test_backward_shape_validation():

@@ -39,15 +39,16 @@ from semtagger import (MODE_EXTERNAL, MODE_INTERNAL, NEG_INF, UNK_ID,
                        DivergenceError, EmbeddedSentence, ExperimentConfig,
                        Sentence, SemtaggerError, TagSet, TaggerModel, Vocab,
                        build_model, build_vocab, encode_corpus, evaluate,
-                       forward, forward_group, init_crf_params,
-                       init_optim_state, init_params, load_checkpoint,
-                       load_context_embeddings, load_meta_tags, log_partition,
-                       log_partitions, parse_corpus, save_checkpoint,
-                       serialize_context_embeddings, serialize_corpus,
-                       train_epoch, viterbi_paths)
+                       forward, init_crf_params, init_optim_state, init_params,
+                       load_checkpoint, load_context_embeddings,
+                       load_meta_tags, log_partition, parse_corpus,
+                       save_checkpoint, serialize_context_embeddings,
+                       serialize_corpus, train_epoch)
 from semtagger import encoder as encoder_module
 from semtagger import optim as optim_module
 from semtagger.cli import _resolve_train_config, build_parser, main
+from semtagger.crf import _forward, _viterbi
+from semtagger.encoder import forward_taped
 from semtagger.model import predicted_tags
 from semtagger.trainer import SETTINGS
 
@@ -414,10 +415,10 @@ def _check_packed(model, data) -> None:
     assert evaluate(model, data) == (loss_sum / len(data), correct / tokens)
 
     inputs = sorted((x for x, _ in data), key=len, reverse=True)
-    emissions = forward_group(model.encoder, inputs)
-    for x, e, log_z, path in zip(inputs, emissions,
-                                 log_partitions(model.crf, emissions),
-                                 viterbi_paths(model.crf, emissions)):
+    emissions = forward_taped(model.encoder, inputs)[0]
+    for x, e, (_, log_z), path in zip(inputs, emissions,
+                                      _forward(model.crf, emissions),
+                                      _viterbi(model.crf, emissions)):
         assert e.tobytes() == loop_emissions(model.encoder, x).tobytes()
         assert e.tobytes() == forward(model.encoder, x)[0].tobytes()
         assert log_z == loop_log_partition(model.crf, e)
