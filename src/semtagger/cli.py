@@ -15,11 +15,10 @@ from dataclasses import replace
 from .errors import DivergenceError, ParseError, SemtaggerError
 from .model import (MODE_EXTERNAL, MODE_INTERNAL, load_checkpoint, tag_tokens,
                     tag_vectors)
-from .trainer import (OPTIMIZERS, SETTINGS, ExperimentConfig, encode_for,
-                      evaluate, load_experiment_configs, run_experiment,
-                      experiment_grid)
-from .data import (Sentence, read_context_embeddings, read_corpus,
-                   serialize_corpus)
+from .trainer import (MODE_INPUTS, OPTIMIZERS, SETTINGS, ExperimentConfig,
+                      encode_for, evaluate, load_experiment_configs,
+                      run_experiment, experiment_grid)
+from .data import Sentence, serialize_corpus
 
 logger = logging.getLogger("semtagger")
 
@@ -132,12 +131,19 @@ def _resolve_train_config(args) -> ExperimentConfig:
     return replace(base, **overrides) if overrides else base
 
 
+def _input(args, mode: str, who: str):
+    """(path, reader) for the file ``mode`` reads (``trainer.MODE_INPUTS``);
+    a usage error "<who> --<flag>" when its flag was not given."""
+    name, read = MODE_INPUTS[mode]
+    if not getattr(args, name):
+        args.parser.error(f"{who} --{name}")
+    return getattr(args, name), read
+
+
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
-    if config.embedding_mode == MODE_INTERNAL and not args.corpus:
-        args.parser.error("--corpus is required in internal embedding mode")
-    if config.embedding_mode == MODE_EXTERNAL and not args.embeddings:
-        args.parser.error("--embeddings is required in external embedding mode")
+    _input(args, config.embedding_mode,
+           f"{config.embedding_mode} embedding mode needs")
 
     history = run_experiment(
         config, corpus=args.corpus, val_corpus=args.val_corpus,
@@ -155,16 +161,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if model.mode == MODE_INTERNAL:
-        if not args.corpus:
-            args.parser.error("this checkpoint takes token input; pass --corpus")
-        sentences = read_corpus(args.corpus)
-    else:
-        if not args.embeddings:
-            args.parser.error(
-                "this checkpoint takes vector input; pass --embeddings")
-        sentences = read_context_embeddings(args.embeddings)
-    data = encode_for(model, sentences)
+    path, read = _input(args, model.mode, "this checkpoint needs")
+    data = encode_for(model, read(path))
     loss, acc, meta_acc = evaluate(model, data, meta=True)
     print(f"loss={loss:.6g}")
     print(f"accuracy={acc:.6g}")
@@ -175,14 +173,14 @@ def cmd_eval(args) -> int:
 
 def cmd_tag(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if model.mode == MODE_EXTERNAL and not args.embeddings:
-        args.parser.error("this checkpoint takes vector input; pass --embeddings")
+    if model.mode == MODE_EXTERNAL:
+        path, read = _input(args, model.mode, "this checkpoint needs")
     with ExitStack() as files:
         out = (files.enter_context(open(args.output, "w", encoding="utf-8"))
                if args.output else sys.stdout)
         if model.mode == MODE_EXTERNAL:
             blocks = ((s.tokens, tag_vectors(model, s.vectors))
-                      for s in read_context_embeddings(args.embeddings))
+                      for s in read(path))
         else:
             stream = (files.enter_context(open(args.input, encoding="utf-8"))
                       if args.input else sys.stdin)
@@ -217,25 +215,24 @@ def cmd_replicate(args) -> int:
                               f"available: {sorted(grid)}")
         explicit = True
 
-    needs_corpus = [n for n in ids
-                    if grid[n].embedding_mode == MODE_INTERNAL]
-    if needs_corpus and not args.corpus:
-        args.parser.error(f"experiments {needs_corpus} need --corpus")
-
-    overrides = _overrides(args)
-    ran, diverged = False, []
+    overrides, configs = _overrides(args), {}
     for n in ids:
         config = replace(grid[n], **overrides)
-        if config.embedding_mode == MODE_EXTERNAL and not args.embeddings:
-            if explicit:
-                args.parser.error(f"experiment {n} needs --embeddings")
+        if (config.embedding_mode == MODE_EXTERNAL and not args.embeddings
+                and not explicit):
             logger.warning("skipping experiment %d: no --embeddings given", n)
-            continue
+        else:
+            configs[n] = config
+    for mode in MODE_INPUTS:  # every row's input, before the first row runs
+        if rows := [n for n, c in configs.items() if c.embedding_mode == mode]:
+            _input(args, mode, f"experiments {rows} need")
+
+    diverged = []
+    for n, config in configs.items():
         out_dir = os.path.join(args.out, f"experiment{n}")
         # an external row splits its embedding file; it takes no val corpus
         val_corpus = (args.val_corpus
                       if config.embedding_mode == MODE_INTERNAL else None)
-        ran = True
         # a diverged row is a result of the grid: the other rows still run
         try:
             history = run_experiment(
@@ -253,7 +250,7 @@ def cmd_replicate(args) -> int:
               f"val_acc={m.val_acc:.6g} val_loss={m.val_loss:.6g}", flush=True)
     if diverged:
         raise DivergenceError("; ".join(diverged))
-    if not ran:
+    if not configs:
         print("no experiments were run")
     return 0
 

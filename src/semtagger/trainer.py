@@ -179,6 +179,12 @@ def encode_embedded(sentences, tags) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(s.vectors, encode_tags(s.tags, tags)) for s in sentences]
 
 
+# what each embedding mode reads: the run_experiment argument (and CLI flag)
+# that names its file, and the reader that parses that file
+MODE_INPUTS = {MODE_INTERNAL: ("corpus", read_corpus),
+               MODE_EXTERNAL: ("embeddings", read_context_embeddings)}
+
+
 def encode_for(model: TaggerModel, sentences) -> list[tuple[np.ndarray, np.ndarray]]:
     """(encoder input, gold tag ids) per sentence, in the model's mode: vocab
     ids for a model with a vocab, the sentences' own vectors otherwise."""
@@ -384,26 +390,19 @@ def run_experiment(config: ExperimentConfig, corpus=None, val_corpus=None,
     """Load data per the config's embedding mode, train, and optionally write
     curves.csv plus checkpoint.npz under out_dir."""
     internal = config.embedding_mode == MODE_INTERNAL
-    if internal:
-        if corpus is None:
-            raise ConfigError("internal embedding mode requires a corpus")
-        sentences = read_corpus(corpus)
-        if val_corpus is not None:
-            train_s, val_s = sentences, read_corpus(val_corpus)
-        else:
-            train_s, val_s = split(sentences, val_fraction, config.seed)
-    else:
-        if embeddings is None:
-            raise ConfigError("external embedding mode requires an embedding file")
-        if val_corpus is not None:
-            raise ConfigError("a validation corpus needs internal embedding mode; "
-                              "external mode splits the embedding file")
-        train_s, val_s = split(read_context_embeddings(embeddings),
-                               val_fraction, config.seed)
+    name, read = MODE_INPUTS[config.embedding_mode]
+    path = {"corpus": corpus, "embeddings": embeddings}[name]
+    if path is None:
+        raise ConfigError(f"{config.embedding_mode} embedding mode needs {name}")
+    if val_corpus is not None and not internal:
+        raise ConfigError("a validation corpus needs internal embedding mode; "
+                          "external mode splits the embedding file")
+    train_s, val_s = ((read(path), read(val_corpus)) if val_corpus is not None
+                      else split(read(path), val_fraction, config.seed))
     for side, part in (("training", train_s), ("validation", val_s)):
         if not part:  # only a split of a one-sentence file leaves a side empty
             raise EmptyCorpusError(
-                f"the {side} split is empty: {corpus if internal else embeddings} "
+                f"the {side} split is empty: {path} "
                 "holds one sentence, and a split needs at least two")
     vocab = build_vocab(train_s, min_freq=min_freq)[0] if internal else None
     # close the tagset over train plus val so held-out gold tags encode
