@@ -18,7 +18,7 @@ from .model import (MODE_EXTERNAL, MODE_INTERNAL, load_checkpoint, tag_tokens,
 from .trainer import (MODE_INPUTS, OPTIMIZERS, SETTINGS, ExperimentConfig,
                       encode_for, evaluate, load_experiment_configs,
                       run_experiment, experiment_grid)
-from .data import Sentence, serialize_corpus
+from .data import Sentence, serialize_corpus, write_atomically
 
 logger = logging.getLogger("semtagger")
 
@@ -173,23 +173,27 @@ def cmd_eval(args) -> int:
 
 def cmd_tag(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if model.mode == MODE_EXTERNAL:
-        path, read = _input(args, model.mode, "this checkpoint needs")
     with ExitStack() as files:
-        out = (files.enter_context(open(args.output, "w", encoding="utf-8"))
-               if args.output else sys.stdout)
         if model.mode == MODE_EXTERNAL:
+            path, read = _input(args, model.mode, "this checkpoint needs")
             blocks = ((s.tokens, tag_vectors(model, s.vectors))
                       for s in read(path))
+        elif args.embeddings:
+            args.parser.error("this checkpoint reads --input or stdin, "
+                              "not --embeddings")
         else:
             stream = (files.enter_context(open(args.input, encoding="utf-8"))
                       if args.input else sys.stdin)
             blocks = ((tokens, tag_tokens(model, tokens))
                       for tokens in (line.split() for line in stream) if tokens)
+        chunks = (("\n" if i else "") + serialize_corpus([Sentence(tokens, tags)])
+                  for i, (tokens, tags) in enumerate(blocks))
         try:
-            for i, (tokens, tags) in enumerate(blocks):
-                out.write(("\n" if i else "")
-                          + serialize_corpus([Sentence(tokens, tags)]))
+            if args.output:  # a failed run leaves any previous file as it was
+                write_atomically(args.output, lambda fh: fh.writelines(
+                    chunk.encode("utf-8") for chunk in chunks))
+            else:
+                sys.stdout.writelines(chunks)
         except UnicodeDecodeError as exc:
             raise ParseError(
                 f"{args.input or 'stdin'} is not UTF-8 text ({exc.reason})") from None

@@ -17,8 +17,8 @@ one that is blank, starts with '#', or holds a TAB, CR or LF; the embedding
 serializer also refuses a non-finite component. Files are UTF-8; any other
 byte is a ParseError naming the file.
 
-Artifacts (curves, checkpoints) are written with ``write_atomically``, so a
-reader never finds a half-written one.
+Artifacts (curves, checkpoints, ``tag --output``) are written with
+``write_atomically``, so a reader never finds a half-written one.
 """
 
 import os

@@ -386,6 +386,72 @@ def test_external_train_eval_tag(tmp_path, capsys):
     assert "embedding file has dim 5" in errors[0] and "emb_dim 6" in errors[0]
 
 
+EXTERNAL_ROW = ("[experiment 7]\noptimizer = sgd\nepochs = 1\nemb_dim = 6\n"
+                "hidden_dim = 3\nembedding_mode = external\n")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A token-input and a vector-input checkpoint, the files they read, and
+    a two-row INI (an internal row 1, an external row 7)."""
+    root = tmp_path_factory.mktemp("trained")
+    files = {"corpus": root / "corpus.tsv", "vectors": external_fixture(root),
+             "ini": root / "grid.ini", "token": root / "token" / "checkpoint.npz",
+             "vector": root / "vector" / "checkpoint.npz"}
+    files["corpus"].write_text(serialize_corpus(
+        make_toy_corpus(30, vocab_size=8, num_tags=3, seed=11)))
+    files["ini"].write_text(
+        "[experiment 1]\nepochs = 1\nemb_dim = 4\nhidden_dim = 3\n" + EXTERNAL_ROW)
+    assert main(train_args(files["corpus"], root / "token")) == 0
+    assert main(["train", "--embeddings", str(files["vectors"]), "--out",
+                 str(root / "vector"), "--epochs", "1", "--emb-dim", "6",
+                 "--hidden-dim", "4", "--optimizer", "sgd", "--seed", "2"]) == 0
+    return files
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("train --corpus {corpus} --config {ini} --experiment 7 --out {out}",
+     "--embeddings"),
+    ("eval --checkpoint {vector} --corpus {corpus}", "--embeddings"),
+    ("tag --checkpoint {vector} --input {corpus}", "--embeddings"),
+    ("tag --checkpoint {token} --embeddings {vectors}", "--input"),
+    ("replicate --corpus {corpus} --experiments 1,x --out {out}",
+     "--experiments"),
+    ("replicate --config {ini} --embeddings {vectors} --out {out}", "--corpus"),
+], ids=["train-external-row", "eval-vector-model", "tag-vector-model",
+        "tag-token-model", "replicate-bad-id", "replicate-no-corpus"])
+def test_a_wrong_input_flag_is_a_usage_error_naming_the_flag(
+        trained, tmp_path, capsys, argv, flag):
+    files = {**trained, "out": tmp_path / "out"}
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(**files) for arg in argv.split()])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err.splitlines()[-1], captured.err
+    assert captured.out == ""
+    assert not files["out"].exists()
+
+
+@pytest.mark.parametrize("case", ["missing-input", "comment-token",
+                                  "wrong-dim-vectors"])
+def test_a_failed_tag_leaves_the_previous_output_file(trained, tmp_path,
+                                                      capsys, case):
+    source = tmp_path / "raw.txt"
+    if case == "comment-token":
+        source.write_text("tok1 tok2\n#x tok3\n")
+    flags = ["--checkpoint", str(trained["token"]), "--input", str(source)]
+    if case == "wrong-dim-vectors":
+        flags = ["--checkpoint", str(trained["vector"]), "--embeddings",
+                 str(external_fixture(tmp_path, dim=5))]
+    output = tmp_path / "keep.tsv"
+    output.write_text("tok1\tt0\n\ntok2\tt1\n")
+    before = output.read_bytes()
+    assert main(["tag", *flags, "--output", str(output)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert output.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_replicate_val_corpus_goes_to_internal_rows_only(tmp_path, corpus_file,
                                                           capsys):
     ini = tmp_path / "grid.ini"
@@ -475,6 +541,31 @@ def test_replicate_unknown_id_is_usage_error(tmp_path, corpus_file,
               "--experiments", experiments, "--out", str(tmp_path / "rep")])
     assert err.value.code == 2
     assert not (tmp_path / "rep").exists()
+
+
+def test_replicate_checks_every_row_before_the_first_runs(tmp_path,
+                                                         corpus_file, capsys):
+    out = tmp_path / "rep"
+    with pytest.raises(SystemExit) as err:
+        main(["replicate", "--corpus", str(corpus_file), "--experiments", "1,7",
+              "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--embeddings" in captured.err.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_replicate_skips_external_rows_without_embeddings(tmp_path, capsys,
+                                                          caplog):
+    ini = tmp_path / "grid.ini"
+    ini.write_text(EXTERNAL_ROW)
+    out = tmp_path / "rep"
+    assert main(["replicate", "--config", str(ini), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "no experiments were run\n"
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping experiment 7: no --embeddings given"]
+    assert not out.exists()
 
 
 def test_meta_tags_flow_through_training(tmp_path, corpus_file, capsys):
